@@ -18,6 +18,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "check/schedfuzz.h"
 #include "cluster/cluster.h"
 #include "core/host_target.h"
 #include "core/vpu_target.h"
@@ -39,35 +40,6 @@ std::vector<serve::Request> make_trace(std::int64_t n, double rate,
     trace.push_back(std::move(req));
   }
   return trace;
-}
-
-/// Full-precision fingerprint of everything the replay must reproduce:
-/// cluster totals, tail latencies, and per-node serving rollups.
-std::string fingerprint(const cluster::ClusterReport& r) {
-  char buf[240];
-  std::string fp;
-  std::snprintf(
-      buf, sizeof(buf),
-      "%lld/%lld/%lld/%lld/%lld/%lld/%lld/%.17g/%.17g/%.17g/%.17g",
-      static_cast<long long>(r.completed),
-      static_cast<long long>(r.rejected),
-      static_cast<long long>(r.dropped_deadline),
-      static_cast<long long>(r.requests_lost),
-      static_cast<long long>(r.requests_replayed),
-      static_cast<long long>(r.requests_hedged),
-      static_cast<long long>(r.duplicate_completions), r.p50_ms, r.p95_ms,
-      r.p99_ms, r.last_complete_s);
-  fp = buf;
-  for (const auto& n : r.nodes) {
-    std::snprintf(buf, sizeof(buf), "|%s:%lld/%lld/%lld/%lld/%.17g",
-                  n.health.c_str(), static_cast<long long>(n.routed),
-                  static_cast<long long>(n.evicted),
-                  static_cast<long long>(n.serve.completed),
-                  static_cast<long long>(n.serve.dropped),
-                  n.serve.last_complete_s);
-    fp += buf;
-  }
-  return fp;
 }
 
 }  // namespace
@@ -158,7 +130,7 @@ int main(int argc, char** argv) {
     cluster::ClusterReport report;
   };
   std::vector<Phase> phases;
-  std::string kill_fp, replay_fp;
+  check::Fingerprint kill_fp, replay_fp;
 
   const std::vector<std::string> phase_names{"n1", "n2", "n3", "n3-kill",
                                              "replay"};
@@ -190,8 +162,8 @@ int main(int argc, char** argv) {
     }
     cluster::Cluster cl(std::move(node_targets), cfg);
     Phase phase{name, cl.run(trace)};
-    if (name == "n3-kill") kill_fp = fingerprint(phase.report);
-    if (name == "replay") replay_fp = fingerprint(phase.report);
+    if (name == "n3-kill") kill_fp = check::fingerprint(phase.report);
+    if (name == "replay") replay_fp = check::fingerprint(phase.report);
     phases.push_back(std::move(phase));
   }
   util::tracer().set_lane_prefix("");

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "check/schedfuzz.h"
 #include "core/host_target.h"
 #include "core/vpu_target.h"
 #include "serve/arrivals.h"
@@ -33,25 +34,6 @@ std::vector<serve::Request> make_trace(std::int64_t n, double rate,
     trace.push_back(std::move(req));
   }
   return trace;
-}
-
-/// Full-precision fingerprint of everything the replay must reproduce.
-std::string fingerprint(const serve::ServeReport& r) {
-  char buf[160];
-  std::string fp;
-  std::snprintf(buf, sizeof(buf), "%lld/%lld/%lld/%.17g/%.17g/%.17g/%.17g",
-                static_cast<long long>(r.completed),
-                static_cast<long long>(r.rejected),
-                static_cast<long long>(r.dropped), r.p50_ms, r.p95_ms,
-                r.p99_ms, r.last_complete_s);
-  fp = buf;
-  for (const auto& t : r.targets) {
-    std::snprintf(buf, sizeof(buf), "|%s:%lld/%lld/%.17g", t.label.c_str(),
-                  static_cast<long long>(t.batches),
-                  static_cast<long long>(t.images), t.busy_s);
-    fp += buf;
-  }
-  return fp;
 }
 
 }  // namespace
@@ -127,7 +109,7 @@ int main(int argc, char** argv) {
     serve::ServeReport report;
   };
   std::vector<Phase> phases;
-  std::string mixed_fp, replay_fp;
+  check::Fingerprint mixed_fp, replay_fp;
   double mixed_goodput = 0.0, best_solo_goodput = 0.0;
   double mixed_p99 = 0.0, mixed_fast_p99 = 0.0;
 
@@ -157,11 +139,11 @@ int main(int argc, char** argv) {
     const auto trace = make_trace(requests, rate, seed);
     Phase phase{name, server.run(trace)};
     if (name == "mixed") {
-      mixed_fp = fingerprint(phase.report);
+      mixed_fp = check::fingerprint(phase.report);
       mixed_goodput = phase.report.goodput();
       mixed_p99 = phase.report.p99_ms;
     } else if (name == "replay") {
-      replay_fp = fingerprint(phase.report);
+      replay_fp = check::fingerprint(phase.report);
     } else if (name == "mixed-fast") {
       mixed_fast_p99 = phase.report.p99_ms;
     } else {

@@ -25,6 +25,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "check/schedfuzz.h"
 #include "core/stick_fleet.h"
 #include "serve/arrivals.h"
 #include "serve/zoo_serve.h"
@@ -63,30 +64,6 @@ std::vector<serve::ZooRequest> make_trace(std::int64_t n, double rate,
     trace.push_back(req);
   }
   return trace;
-}
-
-/// Full-precision fingerprint of everything the replay must reproduce.
-std::string fingerprint(const serve::ZooReport& r) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%lld/%lld/%lld/%lld/%lld/%lld/%lld/%.17g/%.17g/%.17g/%.17g/"
-                "%.17g",
-                static_cast<long long>(r.completed),
-                static_cast<long long>(r.rejected),
-                static_cast<long long>(r.dropped),
-                static_cast<long long>(r.hits),
-                static_cast<long long>(r.misses),
-                static_cast<long long>(r.swaps),
-                static_cast<long long>(r.installs), r.swap_stall_s, r.p50_ms,
-                r.p95_ms, r.p99_ms, r.last_complete_s);
-  std::string fp = buf;
-  for (const auto& cs : r.classes) {
-    std::snprintf(buf, sizeof(buf), "|%lld/%lld/%.17g",
-                  static_cast<long long>(cs.offered),
-                  static_cast<long long>(cs.completed), cs.p99_ms);
-    fp += buf;
-  }
-  return fp;
 }
 
 std::vector<core::ZooModel> make_zoo() {
@@ -189,7 +166,7 @@ int main(int argc, char** argv) {
       {"cost-aware", serve::Placement::kCostAware, {}},
       {"replay", serve::Placement::kCostAware, {}},
   };
-  std::string cost_fp, replay_fp;
+  check::Fingerprint cost_fp, replay_fp;
   for (auto& phase : phases) {
     util::tracer().set_lane_prefix(phase.name + " ");
     core::StickFleet fleet(zoo, fcfg);
@@ -198,8 +175,10 @@ int main(int argc, char** argv) {
     serve::ZooServer server(fleet, cfg);
     const auto trace = make_trace(requests, rate, seed);
     phase.report = server.run(trace);
-    if (phase.name == "cost-aware") cost_fp = fingerprint(phase.report);
-    if (phase.name == "replay") replay_fp = fingerprint(phase.report);
+    if (phase.name == "cost-aware") {
+      cost_fp = check::fingerprint(phase.report);
+    }
+    if (phase.name == "replay") replay_fp = check::fingerprint(phase.report);
   }
   util::tracer().set_lane_prefix("");
   const bool replay_identical = cost_fp == replay_fp;

@@ -132,6 +132,49 @@ Fingerprint fingerprint(const cluster::ClusterReport& r) {
   return fp;
 }
 
+Fingerprint fingerprint(const serve::ZooReport& r) {
+  Fingerprint fp;
+  fp.emplace_back("offered", fmt(r.offered));
+  fp.emplace_back("accepted", fmt(r.accepted));
+  fp.emplace_back("rejected", fmt(r.rejected));
+  fp.emplace_back("dropped", fmt(r.dropped));
+  fp.emplace_back("completed", fmt(r.completed));
+  fp.emplace_back("hits", fmt(r.hits));
+  fp.emplace_back("misses", fmt(r.misses));
+  fp.emplace_back("swaps", fmt(r.swaps));
+  fp.emplace_back("swap_stall_s", fmt(r.swap_stall_s));
+  fp.emplace_back("installs", fmt(r.installs));
+  fp.emplace_back("evicts", fmt(r.evicts));
+  fp.emplace_back("resident", fmt(r.resident));
+  fp.emplace_back("first_arrival_s", fmt(r.first_arrival_s));
+  fp.emplace_back("last_complete_s", fmt(r.last_complete_s));
+  // Fed in arrival order, so any one request's latency moves these.
+  fp.emplace_back("latency_mean_ms", fmt(r.latency_ms.mean()));
+  fp.emplace_back("latency_min_ms", fmt(r.latency_ms.min()));
+  fp.emplace_back("latency_max_ms", fmt(r.latency_ms.max()));
+  fp.emplace_back("p50_ms", fmt(r.p50_ms));
+  fp.emplace_back("p95_ms", fmt(r.p95_ms));
+  fp.emplace_back("p99_ms", fmt(r.p99_ms));
+  Digest classes;
+  for (const auto& c : r.classes) {
+    classes.mix(c.offered);
+    classes.mix(c.completed);
+    classes.mix(c.rejected);
+    classes.mix(c.dropped);
+    classes.mix(c.p99_ms);
+  }
+  fp.emplace_back("classes", classes.str());
+  Digest models;
+  for (const auto& m : r.models) {
+    models.mix(m.name);
+    models.mix(m.offered);
+    models.mix(m.completed);
+    models.mix(m.swaps_in);
+  }
+  fp.emplace_back("models", models.str());
+  return fp;
+}
+
 namespace {
 
 /// One tie group (>1 candidate) encountered during a perturbed run.
@@ -143,7 +186,7 @@ struct Decision {
 
 std::string describe_event(const serve::LoopEvent& ev) {
   std::string s = serve::loop_event_kind_name(ev.kind);
-  if (ev.node != 0) s += "@n" + std::to_string(ev.node);
+  if (ev.index != 0) s += "#" + std::to_string(ev.index);
   return s;
 }
 

@@ -12,8 +12,9 @@
 //
 // This harness checks commutativity directly: it re-runs a scenario
 // under seeded random permutations of each same-timestamp event group
-// (via the serve::TieBreak hook threaded through ServerConfig and
-// ClusterConfig) and asserts the final report fingerprint is invariant.
+// (via the serve::TieBreak hook every loop's run() passes to the shared
+// kernel in serve/event_loop.h) and asserts the final report
+// fingerprint is invariant.
 // On divergence it minimises to a single deviating tie decision — the
 // smallest schedule change that flips the result — and reports it.
 //
@@ -28,6 +29,7 @@
 
 #include "cluster/cluster.h"
 #include "serve/server.h"
+#include "serve/zoo_serve.h"
 
 namespace ncsw::check {
 
@@ -41,12 +43,34 @@ using Fingerprint = std::vector<std::pair<std::string, std::string>>;
 /// individual request's fate is caught even when the totals agree.
 Fingerprint fingerprint(const serve::ServeReport& r);
 Fingerprint fingerprint(const cluster::ClusterReport& r);
+/// ZooReport keeps no per-request log, so its fingerprint digests the
+/// per-class and per-model tables instead.
+Fingerprint fingerprint(const serve::ZooReport& r);
 
 /// One schedule-sensitive workload: runs to completion under the given
 /// tie-break hook (empty = the production fixed order) and returns the
 /// result fingerprint. Must be a pure function of the hook — fresh
-/// Server/Cluster, same trace, same fault plan on every call.
+/// Server/Cluster/ZooServer, same trace, same fault plan on every call.
 using Scenario = std::function<Fingerprint(const serve::TieBreak&)>;
+
+/// Knobs shared by the built-in loadgen-shaped scenarios below.
+struct ScenarioKnobs {
+  std::int64_t requests = 300;
+  std::uint64_t seed = 42;
+  double rate = 0.0;        ///< offered req/s; 0 = the scenario's default
+  double quantize_s = 0.0;  ///< snap arrivals onto this grid (0 = raw)
+};
+
+/// One heterogeneous serve node (cpu + gpu) under open-loop load: the
+/// serve_loadgen "mixed" phase at small scale.
+Scenario serve_scenario(const ScenarioKnobs& knobs);
+/// A 3-node cluster (cpu + gpu per node) with node 1 crashed for the
+/// 35-60% slice of the arrival span: the cluster_loadgen "n3-kill"
+/// phase at small scale.
+Scenario cluster_scenario(const ScenarioKnobs& knobs);
+/// A cost-aware model zoo: 4 models on 2 sticks, the zoo_loadgen
+/// zipf tenant mix with SLO classes, a queue deadline, 20 req/s.
+Scenario zoo_scenario(const ScenarioKnobs& knobs);
 
 struct SchedFuzzConfig {
   /// Perturbed runs per scenario (seeds 1..N; seed 0 is the baseline).

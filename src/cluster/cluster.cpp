@@ -110,7 +110,8 @@ Cluster::Cluster(std::vector<std::vector<core::Target*>> node_targets,
   config_.node.trace_requests = config_.trace_requests;
 }
 
-ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
+ClusterReport Cluster::run(const std::vector<serve::Request>& requests,
+                           const serve::TieBreak& tie_break) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (!std::isfinite(requests[i].arrival_s) ||
         (i > 0 && requests[i].arrival_s < requests[i - 1].arrival_s)) {
@@ -299,14 +300,15 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
   // then the least expected wait (queued + in-flight work over the
   // node's clearing-rate estimate); ties keep ring preference order.
   // Capacity is judged per class: a node whose queue has room but whose
-  // class quota for this request is exhausted does not count.
+  // class quota for this request is exhausted does not count. `exclude`
+  // skips one node (a hedge never duplicates onto the slow node).
   auto pick_node = [&](const std::vector<int>& prefs, bool need_capacity,
-                       serve::SloClass slo) {
+                       serve::SloClass slo, int exclude = -1) {
     int best = -1;
     bool best_unobs = false;
     double best_wait = kInf;
     for (const int n : prefs) {
-      if (!eligible(n)) continue;
+      if (n == exclude || !eligible(n)) continue;
       const NodeState& ns = nodes[static_cast<std::size_t>(n)];
       if (need_capacity && !ns.session->has_capacity_for(slo)) continue;
       const bool unobs = !ns.observed;
@@ -343,8 +345,6 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     instant("spill", t);
     return n;
   };
-
-  double now = 0.0;
 
   // Failover: every request a dead or quarantined node was holding is
   // re-offered to a live replica (force = the replica must not bounce
@@ -483,326 +483,227 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
 
   std::size_t next_arrival = 0;
 
-  enum class Ev {
-    kNone,
-    kComplete,
-    kDrop,
-    kFault,
-    kProbe,
-    kReady,
-    kHedge,
-    kArrive,
-    kFlush
+  const auto on_complete = [&](int n, double now) {
+    try {
+      nodes[static_cast<std::size_t>(n)].session->on_complete(now);
+    } catch (...) {
+      node_failed(n, now);
+      return;
+    }
+    drain(now);
   };
-  for (;;) {
-    // Gather the next event time per class; within a class ties go to
-    // the lowest node index (strict <), and across classes the listed
-    // priority below — completions retire work before faults or drops
-    // reroute it, probes/rejoins restore capacity before hedges and
-    // arrivals claim it, flushes batch up whatever remains.
-    double t_complete = kInf, t_drop = kInf, t_fault = kInf, t_probe = kInf,
-           t_ready = kInf, t_flush = kInf;
-    int n_complete = -1, n_drop = -1, n_fault = -1, n_probe = -1,
-        n_ready = -1, n_flush = -1;
-    for (int i = 0; i < n_nodes; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      const NodeState& ns = nodes[ui];
-      const double tc = ns.session->next_complete_s();
-      if (tc < t_complete) { t_complete = tc; n_complete = i; }
-      const double td = ns.session->next_drop_s();
-      if (td < t_drop) { t_drop = td; n_drop = i; }
-      if (ns.fault_cursor < ns.fault_starts.size()) {
-        const double tf = ns.fault_starts[ns.fault_cursor].start;
-        if (tf < t_fault) { t_fault = tf; n_fault = i; }
-      }
-      if (ns.health->state() == core::HealthState::kQuarantined) {
-        const double tp = ns.health->next_probe_time();
-        if (tp < t_probe) { t_probe = tp; n_probe = i; }
-      }
-      if (ns.rejoin_pending && ns.ready_s < t_ready) {
-        t_ready = ns.ready_s;
-        n_ready = i;
-      }
-      const double tl = ns.session->next_flush_s();
-      if (tl < t_flush) { t_flush = tl; n_flush = i; }
+  const auto on_drop = [&](int n, double now) {
+    nodes[static_cast<std::size_t>(n)].session->on_drop(now);
+    drain(now);
+  };
+  const auto on_fault = [&](int n, double now) {
+    NodeState& ns = nodes[static_cast<std::size_t>(n)];
+    const sim::FaultEvent fe = ns.fault_starts[ns.fault_cursor++];
+    if (fe.kind == sim::FaultKind::kNodeCrash) {
+      ns.up = false;
+      ns.rejoin_pending = false;
+      ns.ready_s = kInf;
+      ns.health->on_gone(now);
+      ++ns.stats.crashes;
+      ++report.node_kills;
+      m_kills.add(1);
+      g_up.set(static_cast<double>(nodes_up()));
+      instant("kill", now);
+      evict_node(n, now);
+      drain(now);
+    } else {  // kNodeWedge: state change is implicit — promised
+              // completions slip via the session's completion map,
+              // and hedges below quarantine the node if it lingers.
+      ++ns.stats.wedges;
+      ++report.node_wedges;
+      instant("wedge", now);
     }
-    const double t_hedge = hedges.empty() ? kInf : hedges.top().fire_s;
-    const double t_arrive = next_arrival < requests.size()
-                                ? requests[next_arrival].arrival_s
-                                : kInf;
-
-    Ev ev = Ev::kNone;
-    double t = kInf;
-    if (t_complete < t) { t = t_complete; ev = Ev::kComplete; }
-    if (t_drop < t) { t = t_drop; ev = Ev::kDrop; }
-    if (t_fault < t) { t = t_fault; ev = Ev::kFault; }
-    if (t_probe < t) { t = t_probe; ev = Ev::kProbe; }
-    if (t_ready < t) { t = t_ready; ev = Ev::kReady; }
-    if (t_hedge < t) { t = t_hedge; ev = Ev::kHedge; }
-    if (t_arrive < t) { t = t_arrive; ev = Ev::kArrive; }
-    if (t_flush < t) { t = t_flush; ev = Ev::kFlush; }
-    if (ev == Ev::kNone) break;
-    if (config_.tie_break) {
-      // Determinism fuzzing (check/schedfuzz.h): collect every
-      // (class, node) pair due at exactly t — including same-class ties
-      // on higher node indices the production scan above never
-      // surfaces — and let the hook pick one; the loop re-evaluates
-      // after each event. Index 0 reproduces the fixed order.
-      std::vector<serve::LoopEvent> tied;
-      auto tied_nodes = [&](serve::LoopEventKind kind, auto&& time_of) {
-        for (int i = 0; i < n_nodes; ++i) {
-          if (time_of(nodes[static_cast<std::size_t>(i)]) == t) {
-            tied.push_back({kind, i, t});
-          }
-        }
-      };
-      tied_nodes(serve::LoopEventKind::kComplete, [](const NodeState& ns) {
-        return ns.session->next_complete_s();
-      });
-      tied_nodes(serve::LoopEventKind::kDrop, [](const NodeState& ns) {
-        return ns.session->next_drop_s();
-      });
-      tied_nodes(serve::LoopEventKind::kFault, [](const NodeState& ns) {
-        return ns.fault_cursor < ns.fault_starts.size()
-                   ? ns.fault_starts[ns.fault_cursor].start
-                   : kInf;
-      });
-      tied_nodes(serve::LoopEventKind::kProbe, [](const NodeState& ns) {
-        return ns.health->state() == core::HealthState::kQuarantined
-                   ? ns.health->next_probe_time()
-                   : kInf;
-      });
-      tied_nodes(serve::LoopEventKind::kReady, [](const NodeState& ns) {
-        return ns.rejoin_pending ? ns.ready_s : kInf;
-      });
-      if (t_hedge == t) {
-        tied.push_back({serve::LoopEventKind::kHedge, hedges.top().node, t});
+  };
+  const auto on_probe = [&](int n, double now) {
+    NodeState& ns = nodes[static_cast<std::size_t>(n)];
+    const bool still_faulted =
+        ns.timeline.active(sim::FaultKind::kNodeCrash, now) != nullptr ||
+        ns.timeline.active(sim::FaultKind::kNodeWedge, now) != nullptr;
+    if (still_faulted) {
+      ns.health->on_probe_failure(now);
+      if (ns.health->state() == core::HealthState::kDead) {
+        ++report.nodes_dead;
+        instant("dead", now);
       }
-      if (t_arrive == t) {
-        tied.push_back({serve::LoopEventKind::kArrive, -1, t});
-      }
-      tied_nodes(serve::LoopEventKind::kFlush, [](const NodeState& ns) {
-        return ns.session->next_flush_s();
-      });
-      const serve::LoopEvent pick =
-          tied[config_.tie_break(t, tied) % tied.size()];
-      switch (pick.kind) {
-        case serve::LoopEventKind::kComplete:
-          ev = Ev::kComplete; n_complete = pick.node; break;
-        case serve::LoopEventKind::kDrop:
-          ev = Ev::kDrop; n_drop = pick.node; break;
-        case serve::LoopEventKind::kFault:
-          ev = Ev::kFault; n_fault = pick.node; break;
-        case serve::LoopEventKind::kProbe:
-          ev = Ev::kProbe; n_probe = pick.node; break;
-        case serve::LoopEventKind::kReady:
-          ev = Ev::kReady; n_ready = pick.node; break;
-        case serve::LoopEventKind::kHedge:
-          ev = Ev::kHedge; break;
-        case serve::LoopEventKind::kArrive:
-          ev = Ev::kArrive; break;
-        case serve::LoopEventKind::kFlush:
-          ev = Ev::kFlush; n_flush = pick.node; break;
-      }
-    }
-    now = std::max(now, t);
-
-    switch (ev) {
-      case Ev::kComplete: {
-        auto& ns = nodes[static_cast<std::size_t>(n_complete)];
-        try {
-          ns.session->on_complete(now);
-        } catch (...) {
-          node_failed(n_complete, now);
-          break;
-        }
-        drain(now);
-        break;
-      }
-      case Ev::kDrop:
-        nodes[static_cast<std::size_t>(n_drop)].session->on_drop(now);
-        drain(now);
-        break;
-      case Ev::kFault: {
-        NodeState& ns = nodes[static_cast<std::size_t>(n_fault)];
-        const sim::FaultEvent fe = ns.fault_starts[ns.fault_cursor++];
-        if (fe.kind == sim::FaultKind::kNodeCrash) {
-          ns.up = false;
-          ns.rejoin_pending = false;
-          ns.ready_s = kInf;
-          ns.health->on_gone(now);
-          ++ns.stats.crashes;
-          ++report.node_kills;
-          m_kills.add(1);
-          g_up.set(static_cast<double>(nodes_up()));
-          instant("kill", now);
-          evict_node(n_fault, now);
-          drain(now);
-        } else {  // kNodeWedge: state change is implicit — promised
-                  // completions slip via the session's completion map,
-                  // and hedges below quarantine the node if it lingers.
-          ++ns.stats.wedges;
-          ++report.node_wedges;
-          instant("wedge", now);
-        }
-        break;
-      }
-      case Ev::kProbe: {
-        NodeState& ns = nodes[static_cast<std::size_t>(n_probe)];
-        const bool still_faulted =
-            ns.timeline.active(sim::FaultKind::kNodeCrash, now) != nullptr ||
-            ns.timeline.active(sim::FaultKind::kNodeWedge, now) != nullptr;
-        if (still_faulted) {
-          ns.health->on_probe_failure(now);
-          if (ns.health->state() == core::HealthState::kDead) {
-            ++report.nodes_dead;
-            instant("dead", now);
-          }
-        } else {
-          const bool replug = ns.health->needs_replug();
-          ns.health->on_probe_success();
-          if (replug) {
-            // Crash recovery: the node's resident graphs re-load
-            // before it takes traffic again.
-            ns.rejoin_pending = true;
-            ns.ready_s = now + static_cast<double>(ns.resident_models) *
-                                   config_.residency_load_s;
-            instant("probe-ok", now);
-          } else {
-            // Wedge quarantine lift: graphs never left; back in the
-            // schedule immediately.
-            instant("requalified", now);
-            unpark_all(now);
-          }
-        }
-        break;
-      }
-      case Ev::kReady: {
-        NodeState& ns = nodes[static_cast<std::size_t>(n_ready)];
-        ns.rejoin_pending = false;
-        ns.ready_s = kInf;
-        ns.up = true;
-        ++ns.stats.rejoins;
-        ++report.node_rejoins;
-        m_rejoins.add(1);
-        g_up.set(static_cast<double>(nodes_up()));
-        instant("rejoin", now);
+    } else {
+      const bool replug = ns.health->needs_replug();
+      ns.health->on_probe_success();
+      if (replug) {
+        // Crash recovery: the node's resident graphs re-load before it
+        // takes traffic again.
+        ns.rejoin_pending = true;
+        ns.ready_s = now + static_cast<double>(ns.resident_models) *
+                               config_.residency_load_s;
+        instant("probe-ok", now);
+      } else {
+        // Wedge quarantine lift: graphs never left; back in the
+        // schedule immediately.
+        instant("requalified", now);
         unpark_all(now);
-        break;
       }
-      case Ev::kHedge: {
-        const HedgeTimer h = hedges.top();
-        hedges.pop();
-        auto it = ledger.find(h.id);
-        if (it == ledger.end()) break;
-        Ledger& led = it->second;
-        // Stale timers: the copy completed, moved nodes, or was
-        // evicted — nothing slipped on this node after all.
-        if (led.completed || led.terminal || led.live <= 0 ||
-            led.last_node != h.node) {
-          break;
-        }
-        NodeState& slow = nodes[static_cast<std::size_t>(h.node)];
-        if (!slow.up || !slow.health->schedulable()) break;
-        // The node promised and did not deliver: that is a transient
-        // failure at node granularity. Enough of them quarantine the
-        // node through the same ladder a flaky stick descends.
-        const bool was_schedulable = slow.health->schedulable();
-        slow.health->on_transient_failure(now);
-        const bool quarantined =
-            was_schedulable && !slow.health->schedulable();
-        // Deadline-aware duplicate: only hedge when the copy could
-        // still beat its queue deadline on another replica, and only
-        // for classes up to hedge_max_class — batch work never pays
-        // for speculative duplicates.
-        const double deadline_s =
-            led.req.arrival_s + config_.node.queue_deadline_s;
-        if (led.hedges < config_.max_hedges && now < deadline_s &&
-            static_cast<int>(led.req.slo) <=
-                static_cast<int>(config_.hedge_max_class)) {
-          const auto& prefs = prefs_for(model_of(led.req));
-          int best = -1;
-          bool best_unobs = false;
-          double best_wait = kInf;
-          for (const int n : prefs) {
-            if (n == h.node || !eligible(n)) continue;
-            const NodeState& ns = nodes[static_cast<std::size_t>(n)];
-            if (!ns.session->has_capacity_for(led.req.slo)) continue;
-            const bool unobs = !ns.observed;
-            const double wait =
-                static_cast<double>(ns.session->queue_depth() +
-                                    ns.session->inflight()) /
-                ns.tput_est;
-            if (best < 0 || (unobs && !best_unobs) ||
-                (unobs == best_unobs && wait < best_wait)) {
-              best = n;
-              best_unobs = unobs;
-              best_wait = wait;
-            }
-          }
-          if (best >= 0) {
-            ++led.hedges;
-            ++led.live;
-            ++report.requests_hedged;
-            m_hedges.add(1);
-            instant("hedge", now);
-            nodes[static_cast<std::size_t>(best)].session->offer(led.req,
-                                                                 now);
-          }
-        }
-        if (quarantined) {
-          instant("quarantine", now);
-          evict_node(h.node, now);
-        }
-        drain(now);
-        break;
-      }
-      case Ev::kArrive: {
-        const serve::Request& req = requests[next_arrival++];
-        ++report.offered;
-        m_offered.add(1);
-        auto [it, inserted] = ledger.try_emplace(req.id);
-        if (!inserted) {
-          throw std::invalid_argument("Cluster::run: duplicate request id");
-        }
-        Ledger& led = it->second;
-        led.req = req;
-        const std::string model = model_of(req);
-        int n = pick_node(prefs_for(model), /*need_capacity=*/true, req.slo);
-        if (n < 0) {
-          n = pick_spill(model, /*need_capacity=*/true, req.slo, now);
-        }
-        if (n < 0) {
-          // Admission control at cluster granularity: every live
-          // replica of this model is saturated (or down).
-          led.terminal = true;
-          led.state = RequestState::kRejected;
-          led.finish_s = now;
-          ++report.rejected;
-          m_rejected.add(1);
-        } else {
-          led.live = 1;
-          ++nodes[static_cast<std::size_t>(n)].stats.routed;
-          nodes[static_cast<std::size_t>(n)].session->offer(req, now);
-        }
-        drain(now);
-        break;
-      }
-      case Ev::kFlush:
-        nodes[static_cast<std::size_t>(n_flush)].session->on_flush(now);
-        drain(now);
-        break;
-      case Ev::kNone:
-        break;
     }
-  }
+  };
+  const auto on_ready = [&](int n, double now) {
+    NodeState& ns = nodes[static_cast<std::size_t>(n)];
+    ns.rejoin_pending = false;
+    ns.ready_s = kInf;
+    ns.up = true;
+    ++ns.stats.rejoins;
+    ++report.node_rejoins;
+    m_rejoins.add(1);
+    g_up.set(static_cast<double>(nodes_up()));
+    instant("rejoin", now);
+    unpark_all(now);
+  };
+  const auto on_hedge = [&](int, double now) {
+    const HedgeTimer h = hedges.top();
+    hedges.pop();
+    auto it = ledger.find(h.id);
+    if (it == ledger.end()) return;
+    Ledger& led = it->second;
+    // Stale timers: the copy completed, moved nodes, or was evicted —
+    // nothing slipped on this node after all.
+    if (led.completed || led.terminal || led.live <= 0 ||
+        led.last_node != h.node) {
+      return;
+    }
+    NodeState& slow = nodes[static_cast<std::size_t>(h.node)];
+    if (!slow.up || !slow.health->schedulable()) return;
+    // The node promised and did not deliver: that is a transient
+    // failure at node granularity. Enough of them quarantine the node
+    // through the same ladder a flaky stick descends.
+    const bool was_schedulable = slow.health->schedulable();
+    slow.health->on_transient_failure(now);
+    const bool quarantined = was_schedulable && !slow.health->schedulable();
+    // Deadline-aware duplicate: only hedge when the copy could still
+    // beat its queue deadline on another replica, and only for classes
+    // up to hedge_max_class — batch work never pays for speculative
+    // duplicates.
+    const double deadline_s =
+        led.req.arrival_s + config_.node.queue_deadline_s;
+    if (led.hedges < config_.max_hedges && now < deadline_s &&
+        static_cast<int>(led.req.slo) <=
+            static_cast<int>(config_.hedge_max_class)) {
+      const int best = pick_node(prefs_for(model_of(led.req)),
+                                 /*need_capacity=*/true, led.req.slo, h.node);
+      if (best >= 0) {
+        ++led.hedges;
+        ++led.live;
+        ++report.requests_hedged;
+        m_hedges.add(1);
+        instant("hedge", now);
+        nodes[static_cast<std::size_t>(best)].session->offer(led.req, now);
+      }
+    }
+    if (quarantined) {
+      instant("quarantine", now);
+      evict_node(h.node, now);
+    }
+    drain(now);
+  };
+  const auto on_arrive = [&](int, double now) {
+    const serve::Request& req = requests[next_arrival++];
+    ++report.offered;
+    m_offered.add(1);
+    auto [it, inserted] = ledger.try_emplace(req.id);
+    if (!inserted) {
+      throw std::invalid_argument("Cluster::run: duplicate request id");
+    }
+    Ledger& led = it->second;
+    led.req = req;
+    const std::string model = model_of(req);
+    int n = pick_node(prefs_for(model), /*need_capacity=*/true, req.slo);
+    if (n < 0) {
+      n = pick_spill(model, /*need_capacity=*/true, req.slo, now);
+    }
+    if (n < 0) {
+      // Admission control at cluster granularity: every live replica
+      // of this model is saturated (or down).
+      led.terminal = true;
+      led.state = RequestState::kRejected;
+      led.finish_s = now;
+      ++report.rejected;
+      m_rejected.add(1);
+    } else {
+      led.live = 1;
+      ++nodes[static_cast<std::size_t>(n)].stats.routed;
+      nodes[static_cast<std::size_t>(n)].session->offer(req, now);
+    }
+    drain(now);
+  };
+  const auto on_flush = [&](int n, double now) {
+    nodes[static_cast<std::size_t>(n)].session->on_flush(now);
+    drain(now);
+  };
+  const auto node = [&](int n) -> const NodeState& {
+    return nodes[static_cast<std::size_t>(n)];
+  };
+
+  // Fixed order, then node index: completions retire work before faults
+  // or drops reroute it, probes/rejoins restore capacity before hedges
+  // and arrivals claim it, flushes batch up whatever remains.
+  using serve::LoopEventKind;
+  using serve::event_source;
+  const double end_s = serve::run_event_loop(
+      0.0, tie_break,
+      event_source(
+          LoopEventKind::kComplete, n_nodes,
+          [&](int n) { return node(n).session->next_complete_s(); },
+          on_complete),
+      event_source(
+          LoopEventKind::kDrop, n_nodes,
+          [&](int n) { return node(n).session->next_drop_s(); }, on_drop),
+      event_source(
+          LoopEventKind::kFault, n_nodes,
+          [&](int n) {
+            const NodeState& ns = node(n);
+            return ns.fault_cursor < ns.fault_starts.size()
+                       ? ns.fault_starts[ns.fault_cursor].start
+                       : kInf;
+          },
+          on_fault),
+      event_source(
+          LoopEventKind::kProbe, n_nodes,
+          [&](int n) {
+            const NodeState& ns = node(n);
+            return ns.health->state() == core::HealthState::kQuarantined
+                       ? ns.health->next_probe_time()
+                       : kInf;
+          },
+          on_probe),
+      event_source(
+          LoopEventKind::kReady, n_nodes,
+          [&](int n) {
+            return node(n).rejoin_pending ? node(n).ready_s : kInf;
+          },
+          on_ready),
+      event_source(
+          LoopEventKind::kHedge, 1,
+          [&](int) { return hedges.empty() ? kInf : hedges.top().fire_s; },
+          on_hedge),
+      event_source(
+          LoopEventKind::kArrive, 1,
+          [&](int) {
+            return next_arrival < requests.size()
+                       ? requests[next_arrival].arrival_s
+                       : kInf;
+          },
+          on_arrive),
+      event_source(
+          LoopEventKind::kFlush, n_nodes,
+          [&](int n) { return node(n).session->next_flush_s(); }, on_flush));
 
   // Whatever is still parked has no replica left to run on.
   for (auto& item : parked) {
     Ledger& led = ledger[item.req.id];
     if (!led.completed && !led.terminal) {
       led.state = RequestState::kLost;
-      led.finish_s = now;
+      led.finish_s = end_s;
     }
   }
   parked.clear();
@@ -817,8 +718,8 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
     report.nodes.push_back(std::move(nr));
   }
   report.records.reserve(ledger.size());
-  std::vector<double> latencies;
-  std::array<std::vector<double>, serve::kSloClassCount> class_latencies;
+  // Deadline drops and lost requests both count as dropped per class.
+  serve::LatencyRollup rollup(static_cast<std::size_t>(report.completed));
   for (auto& [id, led] : ledger) {
     ClusterRecord rec;
     rec.id = id;
@@ -833,40 +734,20 @@ ClusterReport Cluster::run(const std::vector<serve::Request>& requests) {
       rec.state = RequestState::kLost;
       ++report.requests_lost;
     }
-    auto& cs = report.classes[static_cast<std::size_t>(led.req.slo)];
-    ++cs.offered;
-    switch (rec.state) {
-      case RequestState::kCompleted:
-        ++cs.completed;
-        break;
-      case RequestState::kRejected:
-        ++cs.rejected;
-        break;
-      case RequestState::kDeadline:
-      case RequestState::kLost:
-        ++cs.dropped;
-        break;
-    }
-    if (rec.state == RequestState::kCompleted) {
-      const double ms = (rec.finish_s - rec.arrival_s) * 1e3;
-      latencies.push_back(ms);
-      class_latencies[static_cast<std::size_t>(led.req.slo)].push_back(ms);
-    }
+    const serve::Outcome outcome =
+        rec.state == RequestState::kCompleted  ? serve::Outcome::kCompleted
+        : rec.state == RequestState::kRejected ? serve::Outcome::kRejected
+                                               : serve::Outcome::kDropped;
+    rollup.add(led.req.slo, outcome, (rec.finish_s - rec.arrival_s) * 1e3);
     report.records.push_back(rec);
   }
-  for (std::size_t c = 0; c < serve::kSloClassCount; ++c) {
-    report.classes[c].p99_ms =
-        util::percentile(std::move(class_latencies[c]), 99.0);
-  }
+  rollup.seal(report);
   // Crash replays and hedge duplicates are copies of one ledger entry,
   // so the terminal states must still partition what was admitted.
   if (sv.enabled()) {
     sv.on_cluster_finish(report.offered, report.completed, report.rejected,
-                         report.dropped_deadline, report.requests_lost, now);
+                         report.dropped_deadline, report.requests_lost, end_s);
   }
-  report.p50_ms = util::percentile(latencies, 50.0);
-  report.p95_ms = util::percentile(latencies, 95.0);
-  report.p99_ms = util::percentile(std::move(latencies), 99.0);
   if (!requests.empty()) {
     report.first_arrival_s = requests.front().arrival_s;
   }

@@ -33,10 +33,11 @@
 // through the same health ladder. First completion wins; duplicates
 // are counted, never double-delivered.
 //
-// Everything runs on one discrete-event clock with a fixed event
-// tie-break (complete < drop < fault < probe < ready < hedge < arrive
-// < flush, then node index), so a given arrival trace + fault plan
-// always produces byte-identical reports and traces.
+// Everything runs on one discrete-event clock (the shared kernel in
+// serve/event_loop.h) with a fixed event tie-break (complete < drop <
+// fault < probe < ready < hedge < arrive < flush, then node index), so
+// a given arrival trace + fault plan always produces byte-identical
+// reports and traces.
 #pragma once
 
 #include <array>
@@ -52,7 +53,8 @@
 
 namespace ncsw::cluster {
 
-/// Cluster policy knobs.
+/// Cluster policy knobs (the determinism fuzzer's tie-break hook is a
+/// Cluster::run argument, not a knob).
 struct ClusterConfig {
   /// Per-node frontend policy (queue bound, batcher, dispatcher EWMA).
   serve::ServerConfig node;
@@ -95,12 +97,6 @@ struct ClusterConfig {
   sim::FaultPlan faults;
   /// Emit per-request slot spans inside each node's session.
   bool trace_requests = true;
-  /// Same-timestamp event-order perturbation hook for the determinism
-  /// fuzzer (check/schedfuzz.h). Leave empty in production: the loop
-  /// then runs its fixed tie-break (complete < drop < fault < probe <
-  /// ready < hedge < arrive < flush, then node index) byte-identically.
-  /// Applies to the cluster loop itself, not `node.tie_break`.
-  serve::TieBreak tie_break;
 };
 
 /// How one request left the cluster.
@@ -191,8 +187,12 @@ class Cluster {
           ClusterConfig config = {});
 
   /// Serve a finite arrival trace (sorted by arrival_s, finite; throws
-  /// std::invalid_argument otherwise) to completion.
-  ClusterReport run(const std::vector<serve::Request>& requests);
+  /// std::invalid_argument otherwise) to completion. `tie_break` is the
+  /// determinism fuzzer's hook (serve/event_loop.h); empty runs the
+  /// fixed order complete < drop < fault < probe < ready < hedge <
+  /// arrive < flush, then node index.
+  ClusterReport run(const std::vector<serve::Request>& requests,
+                    const serve::TieBreak& tie_break = {});
 
   const ClusterConfig& config() const noexcept { return config_; }
   std::size_t node_count() const noexcept { return node_targets_.size(); }

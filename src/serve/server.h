@@ -54,6 +54,7 @@
 
 #include "core/source.h"
 #include "core/target.h"
+#include "serve/event_loop.h"
 #include "util/metrics.h"
 #include "util/stats.h"
 
@@ -105,41 +106,6 @@ enum class DropReason : int {
 /// Stable lowercase name ("none", "deadline", "inflight-lost", "failover").
 const char* drop_reason_name(DropReason r);
 
-/// The event classes the serving event loops arbitrate between. The
-/// Server loop uses the first two plus kArrive/kFlush; the cluster loop
-/// (src/cluster) uses all of them. Listed in each loop's fixed
-/// tie-break priority order.
-enum class LoopEventKind : int {
-  kComplete = 0,
-  kDrop,
-  kFault,
-  kProbe,
-  kReady,
-  kHedge,
-  kArrive,
-  kFlush,
-};
-
-/// Stable lowercase name ("complete", "drop", "fault", ...).
-const char* loop_event_kind_name(LoopEventKind kind);
-
-/// One candidate event at the time an event loop is about to process.
-/// `node` is the cluster node index (0 in the single-session Server).
-struct LoopEvent {
-  LoopEventKind kind = LoopEventKind::kComplete;
-  int node = 0;
-  double t = 0.0;
-};
-
-/// Schedule-perturbation hook (check/schedfuzz.h): when several events
-/// are due at exactly the same timestamp, the loop collects them all
-/// (in its fixed priority order) and asks the hook which to process
-/// next; the loop re-evaluates after each event. Index 0 reproduces the
-/// fixed order. An empty hook keeps the production single-pass scan —
-/// byte-identical behaviour and no per-iteration allocation.
-using TieBreak =
-    std::function<std::size_t(double t, const std::vector<LoopEvent>& tied)>;
-
 /// Per-request lifecycle log entry.
 struct RequestRecord {
   Request request;
@@ -190,11 +156,6 @@ struct ServerConfig {
   /// (targets default to 1, i.e. the classic one-batch-per-target
   /// dispatcher).
   int inflight_window = 0;
-  /// Same-timestamp event-order perturbation hook for the determinism
-  /// fuzzer (check/schedfuzz.h). Leave empty in production: the loop
-  /// then runs its fixed tie-break (complete < drop < arrive < flush)
-  /// byte-identically.
-  TieBreak tie_break;
 };
 
 /// Per-target serving statistics.
@@ -260,6 +221,51 @@ struct ServeReport {
     const double m = makespan_s();
     return m > 0.0 ? static_cast<double>(completed) / m : 0.0;
   }
+};
+
+/// Tail latency and per-SloClass accounting rebuilt from per-request
+/// outcomes: the one rollup behind ServeReport, ZooReport and
+/// ClusterReport. add() once per offered request, then seal().
+class LatencyRollup {
+ public:
+  /// `completed_hint` presizes the latency buffer.
+  explicit LatencyRollup(std::size_t completed_hint = 0) {
+    all_.reserve(completed_hint);
+  }
+
+  /// `latency_ms` is read for kCompleted only.
+  void add(SloClass slo, Outcome outcome, double latency_ms) {
+    const auto c = static_cast<int>(slo);
+    ClassStats& cs = classes_[c];
+    ++cs.offered;
+    switch (outcome) {
+      case Outcome::kCompleted:
+        ++cs.completed;
+        all_.push_back(latency_ms);
+        by_class_[c].push_back(latency_ms);
+        break;
+      case Outcome::kRejected: ++cs.rejected; break;
+      case Outcome::kDropped: ++cs.dropped; break;
+    }
+  }
+
+  /// Write p50/p95/p99_ms (over completed requests) and the per-class
+  /// table into any report that carries those fields. Call once.
+  template <class Report>
+  void seal(Report& r) {
+    r.p50_ms = util::percentile(all_, 50.0);
+    r.p95_ms = util::percentile(all_, 95.0);
+    r.p99_ms = util::percentile(std::move(all_), 99.0);
+    for (int c = 0; c < kSloClassCount; ++c) {
+      classes_[c].p99_ms = util::percentile(std::move(by_class_[c]), 99.0);
+    }
+    r.classes = classes_;
+  }
+
+ private:
+  std::vector<double> all_;
+  std::array<std::vector<double>, kSloClassCount> by_class_;
+  std::array<ClassStats, kSloClassCount> classes_{};
 };
 
 /// A steppable serving session: the Server event loop's state machine
@@ -427,8 +433,11 @@ class Server {
   Server(std::vector<core::Target*> targets, ServerConfig config = {});
 
   /// Serve a finite arrival trace (sorted by arrival_s; throws
-  /// std::invalid_argument otherwise) to completion.
-  ServeReport run(const std::vector<Request>& requests);
+  /// std::invalid_argument otherwise) to completion. `tie_break` is the
+  /// determinism fuzzer's hook (serve/event_loop.h); empty runs the
+  /// fixed order complete < drop < arrive < flush.
+  ServeReport run(const std::vector<Request>& requests,
+                  const TieBreak& tie_break = {});
 
   /// Pull up to `limit` items (-1 = until exhaustion) from `source`,
   /// stamping each with the next arrival time from `next_arrival_s`

@@ -13,12 +13,10 @@ namespace ncsw::serve {
 
 namespace {
 
-/// Terminal state of one zoo request.
-enum class ZooOutcome : int { kQueued = 0, kCompleted, kRejected, kDropped };
-
 struct Rec {
   ZooRequest req;
-  ZooOutcome outcome = ZooOutcome::kQueued;
+  bool settled = false;  ///< `outcome` is final (not queued/in flight)
+  Outcome outcome = Outcome::kCompleted;
   double dispatch_s = 0.0;
   double complete_s = 0.0;
 };
@@ -65,7 +63,8 @@ ZooServer::ZooServer(core::StickFleet& fleet, ZooConfig config)
   }
 }
 
-ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
+ZooReport ZooServer::run(const std::vector<ZooRequest>& requests,
+                         const TieBreak& tie_break) {
   const int K = fleet_.devices();
   const int M = fleet_.models();
 
@@ -96,7 +95,6 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
   ZooReport report;
   report.models.resize(static_cast<std::size_t>(M));
   for (int m = 0; m < M; ++m) report.models[m].name = fleet_.model_name(m);
-  const std::int64_t swaps0 = fleet_.swaps();
 
   double last_arrival = -kInf;
   for (const auto& r : requests) {
@@ -208,164 +206,137 @@ ZooReport ZooServer::run(const std::vector<ZooRequest>& requests) {
   auto& tr = util::tracer();
   std::size_t next_arrival = 0;
   double end_s = report.first_arrival_s;
-  double last_stall = -kInf;
 
-  for (;;) {
-    // Next event of each kind; fixed tie order complete < ready < drop
-    // < arrive keeps the loop deterministic.
-    double t_complete = kInf;
-    int complete_stick = -1;
-    for (int d = 0; d < K; ++d) {
-      if (flights[d].active && flights[d].complete_s < t_complete) {
-        t_complete = flights[d].complete_s;
-        complete_stick = d;
-      }
+  const auto settle = [&](std::size_t i, Outcome outcome, double at_s) {
+    recs[i].settled = true;
+    recs[i].outcome = outcome;
+    recs[i].complete_s = at_s;
+  };
+  const auto on_complete = [&](int d, double now) {
+    Flight& f = flights[d];
+    fleet_.stick(d).wait(f.ticket);
+    for (const std::size_t i : f.recs) {
+      settle(i, Outcome::kCompleted, f.complete_s);
     }
-    double t_ready = kInf;
-    int ready_stick = -1;
-    for (int d = 0; d < K; ++d) {
-      if (swap_pending[d] && busy_until[d] < t_ready) {
-        t_ready = busy_until[d];
-        ready_stick = d;
-      }
+    report.completed += static_cast<std::int64_t>(f.recs.size());
+    report.models[f.model].completed +=
+        static_cast<std::int64_t>(f.recs.size());
+    end_s = std::max(end_s, f.complete_s);
+    report.last_complete_s = std::max(report.last_complete_s, f.complete_s);
+    if (tr.enabled()) {
+      tr.complete("zoo", "batch:" + fleet_.model_name(f.model),
+                  tr.lane("zoo " + fleet_.stick(d).short_name()),
+                  f.dispatch_s, f.complete_s,
+                  {util::TraceArg::num(
+                      "images", static_cast<std::int64_t>(f.recs.size()))});
     }
-    double t_drop = kInf;
-    int drop_model = -1, drop_class = -1;
-    if (queued_total > 0 && std::isfinite(config_.queue_deadline_s)) {
-      for (int m = 0; m < M; ++m) {
-        for (int c = 0; c < static_cast<int>(kSloClassCount); ++c) {
-          if (queues[m][c].empty()) continue;
-          const double due = recs[queues[m][c].front()].req.arrival_s +
-                             config_.queue_deadline_s;
-          if (due < t_drop) {
-            t_drop = due;
-            drop_model = m;
-            drop_class = c;
-          }
-        }
-      }
-    }
-    const double t_arrive = next_arrival < requests.size()
-                                ? requests[next_arrival].arrival_s
-                                : kInf;
-
-    double now = std::min(std::min(t_complete, t_ready),
-                          std::min(t_drop, t_arrive));
-    if (now == kInf) {
-      if (queued_total == 0) break;
-      // All sticks idle, queued work not resident, every stick inside
-      // its hysteresis window: advance to the earliest unlock.
-      now = std::max(end_s, rm.earliest_unlock_s());
-      if (now == last_stall) {
-        throw std::logic_error("ZooServer: scheduler stalled");
-      }
-      last_stall = now;
-      pass(now);
-      continue;
-    }
-
-    if (now == t_complete) {
-      Flight& f = flights[complete_stick];
-      fleet_.stick(complete_stick).wait(f.ticket);
-      for (const std::size_t i : f.recs) {
-        recs[i].outcome = ZooOutcome::kCompleted;
-        recs[i].complete_s = f.complete_s;
-      }
-      report.completed += static_cast<std::int64_t>(f.recs.size());
-      report.models[f.model].completed +=
-          static_cast<std::int64_t>(f.recs.size());
-      end_s = std::max(end_s, f.complete_s);
-      report.last_complete_s = std::max(report.last_complete_s, f.complete_s);
-      if (tr.enabled()) {
-        tr.complete("zoo", "batch:" + fleet_.model_name(f.model),
-                    tr.lane("zoo " +
-                            fleet_.stick(complete_stick).short_name()),
-                    f.dispatch_s, f.complete_s,
-                    {util::TraceArg::num(
-                        "images", static_cast<std::int64_t>(f.recs.size()))});
-      }
-      f.active = false;
-      f.recs.clear();
-    } else if (now == t_ready) {
-      swap_pending[ready_stick] = 0;
-      end_s = std::max(end_s, now);
-    } else if (now == t_drop) {
-      auto& q = queues[drop_model][drop_class];
-      const std::size_t i = q.front();
-      q.pop_front();
-      --queued_total;
-      --queued_by_class[drop_class];
-      recs[i].outcome = ZooOutcome::kDropped;
-      recs[i].complete_s = now;
-      report.dropped += 1;
-      end_s = std::max(end_s, now);
+    f.active = false;
+    f.recs.clear();
+    pass(now);
+  };
+  const auto on_ready = [&](int d, double now) {
+    swap_pending[d] = 0;
+    end_s = std::max(end_s, now);
+    pass(now);
+  };
+  // Drop instance i is the (model, class) queue i / kSloClassCount,
+  // i % kSloClassCount; only queue heads can be the earliest deadline.
+  const auto drop_due = [&](int i) {
+    const auto& q = queues[i / kSloClassCount][i % kSloClassCount];
+    return q.empty() ? kInf
+                     : recs[q.front()].req.arrival_s + config_.queue_deadline_s;
+  };
+  const auto on_drop = [&](int i, double now) {
+    const int cls = i % kSloClassCount;
+    auto& q = queues[i / kSloClassCount][cls];
+    settle(q.front(), Outcome::kDropped, now);
+    q.pop_front();
+    --queued_total;
+    --queued_by_class[cls];
+    report.dropped += 1;
+    end_s = std::max(end_s, now);
+    pass(now);
+  };
+  const auto on_arrive = [&](int, double now) {
+    const ZooRequest& req = requests[next_arrival++];
+    report.offered += 1;
+    report.models[req.model].offered += 1;
+    const int cls = static_cast<int>(req.slo);
+    const bool admit = queued_total < config_.queue_capacity &&
+                       queued_by_class[cls] < config_.class_quota[cls];
+    recs.push_back(Rec{req, false, Outcome::kCompleted, 0.0, 0.0});
+    if (!admit) {
+      settle(recs.size() - 1, Outcome::kRejected, req.arrival_s);
+      report.rejected += 1;
     } else {
-      const ZooRequest& req = requests[next_arrival++];
-      report.offered += 1;
-      report.models[req.model].offered += 1;
-      const int cls = static_cast<int>(req.slo);
-      const bool admit = queued_total < config_.queue_capacity &&
-                         queued_by_class[cls] < config_.class_quota[cls];
-      recs.push_back(Rec{req, ZooOutcome::kQueued, 0.0, 0.0});
-      if (!admit) {
-        recs.back().outcome = ZooOutcome::kRejected;
-        recs.back().complete_s = req.arrival_s;
-        report.rejected += 1;
+      report.accepted += 1;
+      // Admission-time residency is the hit/miss the tenant observes:
+      // resident -> the request can run without a swap in front of it.
+      if (rm.is_resident(req.model)) {
+        report.hits += 1;
       } else {
-        report.accepted += 1;
-        // Admission-time residency is the hit/miss the tenant observes:
-        // resident -> the request can run without a swap in front of it.
-        if (rm.is_resident(req.model)) {
-          report.hits += 1;
-        } else {
-          report.misses += 1;
-        }
-        queues[req.model][cls].push_back(recs.size() - 1);
-        ++queued_total;
-        ++queued_by_class[cls];
+        report.misses += 1;
       }
-      end_s = std::max(end_s, req.arrival_s);
+      queues[req.model][cls].push_back(recs.size() - 1);
+      ++queued_total;
+      ++queued_by_class[cls];
     }
+    end_s = std::max(end_s, req.arrival_s);
+    pass(now);
+  };
 
+  double now = -kInf;
+  double last_stall = -kInf;
+  for (;;) {
+    now = run_event_loop(
+        now, tie_break,
+        event_source(
+            LoopEventKind::kComplete, K,
+            [&](int d) { return flights[d].active ? flights[d].complete_s
+                                                  : kInf; },
+            on_complete),
+        event_source(
+            LoopEventKind::kReady, K,
+            [&](int d) { return swap_pending[d] ? busy_until[d] : kInf; },
+            on_ready),
+        event_source(LoopEventKind::kDrop,
+                     std::isfinite(config_.queue_deadline_s)
+                         ? M * kSloClassCount
+                         : 0,
+                     drop_due, on_drop),
+        event_source(
+            LoopEventKind::kArrive, 1,
+            [&](int) {
+              return next_arrival < requests.size()
+                         ? requests[next_arrival].arrival_s
+                         : kInf;
+            },
+            on_arrive));
+    if (queued_total == 0) break;
+    // All sticks idle, queued work not resident, every stick inside
+    // its hysteresis window: advance to the earliest unlock.
+    now = std::max(end_s, rm.earliest_unlock_s());
+    if (now == last_stall) {
+      throw std::logic_error("ZooServer: scheduler stalled");
+    }
+    last_stall = now;
     pass(now);
   }
 
   // ------------------------------------------------------------ finish
-  std::vector<double> lat_ms;
-  std::array<std::vector<double>, kSloClassCount> class_lat_ms;
-  lat_ms.reserve(recs.size());
+  LatencyRollup rollup(static_cast<std::size_t>(report.completed));
   for (const auto& r : recs) {
-    auto& cs = report.classes[static_cast<int>(r.req.slo)];
-    cs.offered += 1;
-    switch (r.outcome) {
-      case ZooOutcome::kCompleted: {
-        cs.completed += 1;
-        const double ms = (r.complete_s - r.req.arrival_s) * 1e3;
-        report.latency_ms.add(ms);
-        lat_ms.push_back(ms);
-        class_lat_ms[static_cast<int>(r.req.slo)].push_back(ms);
-        break;
-      }
-      case ZooOutcome::kRejected:
-        cs.rejected += 1;
-        break;
-      case ZooOutcome::kDropped:
-        cs.dropped += 1;
-        break;
-      case ZooOutcome::kQueued:
-        throw std::logic_error("ZooServer: request left queued at finish");
+    if (!r.settled) {
+      throw std::logic_error("ZooServer: request left queued at finish");
     }
+    const double ms = (r.complete_s - r.req.arrival_s) * 1e3;
+    if (r.outcome == Outcome::kCompleted) report.latency_ms.add(ms);
+    rollup.add(r.req.slo, r.outcome, ms);
   }
-  report.p50_ms = util::percentile(lat_ms, 50.0);
-  report.p95_ms = util::percentile(lat_ms, 95.0);
-  report.p99_ms = util::percentile(lat_ms, 99.0);
-  for (int c = 0; c < static_cast<int>(kSloClassCount); ++c) {
-    report.classes[c].p99_ms = util::percentile(class_lat_ms[c], 99.0);
-  }
+  rollup.seal(report);
   report.installs = fleet_.installs();
   report.evicts = fleet_.evicts();
   report.resident = fleet_.resident_count();
-  (void)swaps0;  // fleet-level swap delta equals report.swaps by design
 
   auto& metrics = util::metrics();
   metrics.counter("serve.zoo.offered").add(report.offered);

@@ -12,9 +12,10 @@
 //                 picks the victim stick -> StickFleet::swap_to]
 //            --> per-stick async tickets (core::Target submit/info/wait)
 //
-// entirely on the simulated clock, single-threaded, with a fixed event
-// tie-break (complete < ready < drop < arrive) so a given trace always
-// produces byte-identical reports. Swaps ride the drain -> deallocate
+// entirely on the simulated clock, single-threaded, on the shared event
+// kernel (serve/event_loop.h) with a fixed tie-break (complete < ready <
+// drop < arrive) so a given trace always produces byte-identical
+// reports. Swaps ride the drain -> deallocate
 // -> allocate lifecycle under the NCAPI protocol verifier, and the
 // serve verifier's zoo hooks (swap-while-inflight, wrong-model-dispatch,
 // residency-conservation) shadow every decision.
@@ -114,8 +115,12 @@ class ZooServer {
   ZooServer(core::StickFleet& fleet, ZooConfig config = {});
 
   /// Serve a finite arrival trace (sorted by arrival_s; throws
-  /// std::invalid_argument otherwise) to completion.
-  ZooReport run(const std::vector<ZooRequest>& requests);
+  /// std::invalid_argument otherwise) to completion. `tie_break` is the
+  /// determinism fuzzer's hook (serve/event_loop.h); empty runs the
+  /// fixed order complete < ready < drop < arrive, then stick or queue
+  /// index.
+  ZooReport run(const std::vector<ZooRequest>& requests,
+                const TieBreak& tie_break = {});
 
   const ZooConfig& config() const noexcept { return config_; }
 

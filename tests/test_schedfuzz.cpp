@@ -145,9 +145,8 @@ TEST(SchedFuzz, RealServeTieDivergenceIsDetected) {
     cfg.queue_capacity = 1;
     cfg.max_batch = 1;
     cfg.trace_requests = false;
-    cfg.tie_break = tb;
     serve::Server server({&t}, cfg);
-    return check::fingerprint(server.run(paced(12, 0.05)));
+    return check::fingerprint(server.run(paced(12, 0.05), tb));
   };
   SchedFuzzConfig cfg;
   cfg.seeds = 16;
@@ -178,15 +177,32 @@ TEST(SchedFuzz, RealServeCommutingTiesStayInvariant) {
     cfg.queue_capacity = 64;
     cfg.max_batch = 1;
     cfg.trace_requests = false;
-    cfg.tie_break = tb;
     serve::Server server({&t}, cfg);
-    return check::fingerprint(server.run(paced(12, 0.05)));
+    return check::fingerprint(server.run(paced(12, 0.05), tb));
   };
   SchedFuzzConfig cfg;
   cfg.seeds = 16;
   const SchedFuzzReport report = check::fuzz_schedule(scenario, cfg);
   EXPECT_GT(report.ties_seen, 0);
   EXPECT_TRUE(report.ok()) << report.divergences.front().to_string();
+}
+
+TEST(SchedFuzz, ZooLoopTakesTheHook) {
+  // ZooServer::run passes the hook to the shared kernel: on a 50 ms grid
+  // the zoo's same-timestamp groups reach the permuter, and at raw
+  // Poisson times the scenario stays invariant.
+  check::ScenarioKnobs k;
+  k.requests = 200;
+  SchedFuzzConfig cfg;
+  cfg.seeds = 4;
+  cfg.minimize = false;
+  const SchedFuzzReport raw = check::fuzz_schedule(check::zoo_scenario(k), cfg);
+  EXPECT_TRUE(raw.ok()) << raw.divergences.front().to_string();
+  k.quantize_s = 0.05;
+  const SchedFuzzReport grid =
+      check::fuzz_schedule(check::zoo_scenario(k), cfg);
+  EXPECT_GT(grid.ties_seen, 0);
+  EXPECT_GT(grid.perturbed, 0);
 }
 
 }  // namespace
