@@ -5,6 +5,8 @@
 // documented in docs/architecture.md.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -13,6 +15,7 @@
 #include "check/protocol.h"
 #include "util/cli.h"
 #include "util/json.h"
+#include "util/metrics.h"
 #include "util/table.h"
 #include "util/trace.h"
 
@@ -43,9 +46,27 @@ inline void add_common_flags(util::Cli& cli) {
                  "$NCSW_CHECK, else off)");
 }
 
-/// Arm the tracer according to --trace/--trace-layers. Call after
-/// cli.parse() and before any simulated work.
+/// Where the simulator's own cost is measured from: the host clock and
+/// the sim.engine.events counter when bench::setup() ran.
+struct SelfMark {
+  std::chrono::steady_clock::time_point wall =
+      std::chrono::steady_clock::now();
+  std::uint64_t sim_events = 0;
+};
+
+inline SelfMark& self_mark() {
+  static SelfMark mark;
+  return mark;
+}
+
+inline std::uint64_t sim_events_now() {
+  return util::metrics().counter("sim.engine.events").value();
+}
+
+/// Arm the tracer according to --trace/--trace-layers and start the
+/// self-cost clock. Call after cli.parse() and before any simulated work.
 inline void setup(const util::Cli& cli) {
+  self_mark() = {std::chrono::steady_clock::now(), sim_events_now()};
   auto& t = util::tracer();
   t.reset();
   if (!cli.get_string("trace").empty()) {
@@ -117,6 +138,31 @@ class BenchReport {
     values_.emplace_back(key, "\"" + util::JsonWriter::escape(v) + "\"");
   }
 
+  /// Record what the run cost the host since bench::setup() (shows up
+  /// under "self", on the wall clock whatever clock() says): wall_s,
+  /// sim_events (event-engine events dispatched), events_per_s and, when
+  /// `requests` > 0 (requests served over all phases),
+  /// wall_us_per_request. Opt-in, because the wall time differs run to
+  /// run and the fig6 reports are compared byte for byte.
+  void self_cost(std::int64_t requests = 0) {
+    const SelfMark& mark = self_mark();
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - mark.wall)
+                              .count();
+    const auto events =
+        static_cast<double>(sim_events_now() - mark.sim_events);
+    using util::JsonWriter;
+    self_ = {{"wall_s", JsonWriter::number(wall_s)},
+             {"sim_events", JsonWriter::number(events)},
+             {"events_per_s",
+              JsonWriter::number(wall_s > 0.0 ? events / wall_s : 0.0)}};
+    if (requests > 0) {
+      self_.emplace_back(
+          "wall_us_per_request",
+          JsonWriter::number(1e6 * wall_s / static_cast<double>(requests)));
+    }
+  }
+
   /// Serialise the report as JSON.
   std::string to_json() const {
     util::JsonWriter w;
@@ -145,6 +191,11 @@ class BenchReport {
     w.key("values").begin_object();
     for (const auto& [k, v] : values_) w.key(k).raw(v);
     w.end_object();
+    if (!self_.empty()) {
+      w.key("self").begin_object();
+      for (const auto& [k, v] : self_) w.key(k).raw(v);
+      w.end_object();
+    }
     w.end_object();
     return w.str();
   }
@@ -162,6 +213,7 @@ class BenchReport {
   std::vector<std::pair<std::string, std::string>> config_;  // key, raw JSON
   std::vector<Anchor> anchors_;
   std::vector<std::pair<std::string, std::string>> values_;  // key, raw JSON
+  std::vector<std::pair<std::string, std::string>> self_;    // key, raw JSON
 };
 
 /// Write the report unless --json=none; default path BENCH_<name>.json.

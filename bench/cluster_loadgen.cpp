@@ -268,6 +268,7 @@ int main(int argc, char** argv) {
   report.value("n3_vs_n1", n3_vs_n1);
   report.value("chaos_goodput_retained", chaos_retained);
   report.value("replay_identical", replay_identical ? 1.0 : 0.0);
+  report.self_cost(requests * static_cast<std::int64_t>(phase_names.size()));
   bench::write_report(report, cli);
   bench::finalize(cli);
 

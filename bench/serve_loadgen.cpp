@@ -228,6 +228,7 @@ int main(int argc, char** argv) {
   report.value("mixed_vs_best_solo", vs_best);
   report.value("replay_identical", replay_identical ? 1.0 : 0.0);
   report.value("fast_p99_cut_ms", fast_p99_cut_ms);
+  report.self_cost(requests * static_cast<std::int64_t>(phase_names.size()));
   bench::write_report(report, cli);
   bench::finalize(cli);
   return replay_identical ? 0 : 1;

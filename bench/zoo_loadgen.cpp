@@ -124,6 +124,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   bench::setup(cli);
+  util::Counter& chip_runs = util::metrics().counter("myriad.executions");
+  const std::uint64_t chip_runs_before = chip_runs.value();
 
   const std::int64_t requests = cli.get_int("requests");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
@@ -274,6 +276,11 @@ int main(int argc, char** argv) {
   report.value("cost_vs_static", cost_vs_static);
   report.value("lru_vs_static", lru_vs_static);
   report.value("replay_identical", replay_identical ? 1.0 : 0.0);
+  // Chip simulations the whole run needed: swaps reuse the memoized
+  // profile, so this is one per distinct zoo graph.
+  report.value("chip_simulations",
+               static_cast<double>(chip_runs.value() - chip_runs_before));
+  report.self_cost(requests * static_cast<std::int64_t>(phases.size()));
   bench::write_report(report, cli);
   bench::finalize(cli);
   return replay_identical ? 0 : 1;

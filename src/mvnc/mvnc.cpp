@@ -32,12 +32,11 @@ struct GraphState {
   // Shared ownership keeps the stick alive for API calls that fetched
   // this graph before a concurrent host_reset tore the device down.
   std::shared_ptr<DeviceState> dev;
-  graphc::CompiledGraph compiled;
+  // The parsed graph file, shared with every handle allocated from the
+  // same bytes. A v2 file's functional payload lives in it too.
+  std::shared_ptr<const graphc::GraphPackage> package;
   const nn::Graph* func_graph = nullptr;
   const nn::WeightsH* func_weights = nullptr;
-  // Functional payload embedded in a v2 graph file (owned by the handle).
-  std::optional<nn::Graph> owned_graph;
-  std::optional<nn::WeightsH> owned_weights;
 
   std::mutex mutex;
   bool dead = false;           // deallocated/closed; guarded by mutex
@@ -46,8 +45,12 @@ struct GraphState {
   // GetResult watchdog budget (infinity = block forever, NCSDK default).
   double watchdog_s = std::numeric_limits<double>::infinity();
 
+  const graphc::CompiledGraph& compiled() const { return package->compiled; }
+
   struct Pending {
-    std::vector<ncsw::fp16::half> output;
+    // The functional network's output; none for a timing-only graph,
+    // whose result is zeros written straight into last_output.
+    std::optional<std::vector<ncsw::fp16::half>> output;
     void* user = nullptr;
   };
   std::deque<Pending> pending;              // parallel to the device FIFO
@@ -69,6 +72,41 @@ struct HostState {
 std::mutex g_mutex;
 HostState g_host;
 std::atomic<std::uint64_t> g_generation{0};
+
+/// Parsed graph files kept for reuse; swapping a graph back in then skips
+/// the parse. A fixed bound, since each entry holds a blob and its parse.
+constexpr std::size_t kPackageCacheCapacity = 16;
+
+struct CachedPackage {
+  std::vector<std::uint8_t> bytes;  ///< the key: the graph file, verbatim
+  std::shared_ptr<const graphc::GraphPackage> package;
+};
+
+// Guarded by g_mutex; most recently used first. Survives host_reset: a
+// package depends on nothing but its bytes.
+std::vector<CachedPackage> g_packages;
+
+/// The parsed package of a graph file, shared with every earlier
+/// allocation of byte-identical files. Throws what deserialize_package
+/// throws on malformed input (nothing is cached then). Caller holds g_mutex.
+std::shared_ptr<const graphc::GraphPackage> parse_package_locked(
+    const std::uint8_t* bytes, std::size_t length) {
+  const auto it = std::find_if(
+      g_packages.begin(), g_packages.end(), [&](const CachedPackage& c) {
+        return std::equal(c.bytes.begin(), c.bytes.end(), bytes,
+                          bytes + length);
+      });
+  if (it != g_packages.end()) {
+    std::rotate(g_packages.begin(), it, it + 1);
+    return g_packages.front().package;
+  }
+  std::vector<std::uint8_t> key(bytes, bytes + length);
+  auto package = std::make_shared<const graphc::GraphPackage>(
+      graphc::deserialize_package(key));
+  if (g_packages.size() == kPackageCacheCapacity) g_packages.pop_back();
+  g_packages.insert(g_packages.begin(), {std::move(key), package});
+  return package;
+}
 
 std::shared_ptr<DeviceState> as_device(void* handle) {
   const auto it = g_host.device_handles.find(handle);
@@ -170,7 +208,7 @@ bool set_functional_network(void* graphHandle, const nn::Graph* graph,
   if ((graph == nullptr) != (weights == nullptr)) return false;
   if (graph) {
     const auto in_shape = graph->layer(graph->input_id()).out_shape;
-    if (in_shape.numel() != g->compiled.input_shape.numel()) return false;
+    if (in_shape.numel() != g->compiled().input_shape.numel()) return false;
   }
   std::lock_guard glock(g->mutex);
   g->func_graph = graph;
@@ -324,15 +362,14 @@ mvncStatus allocate_graph_at(void* deviceHandle, void** graphHandle,
     return MVNC_INVALID_PARAMETERS;
   }
 
-  const auto* bytes = static_cast<const std::uint8_t*>(graphFile);
-  graphc::GraphPackage package;
+  std::shared_ptr<const graphc::GraphPackage> package;
   try {
-    package = graphc::deserialize_package(
-        std::vector<std::uint8_t>(bytes, bytes + graphFileLength));
+    package = parse_package_locked(
+        static_cast<const std::uint8_t*>(graphFile), graphFileLength);
   } catch (const std::exception&) {
     return MVNC_UNSUPPORTED_GRAPH_FILE;
   }
-  if (package.compiled.precision != graphc::Precision::kFP16) {
+  if (package->compiled.precision != graphc::Precision::kFP16) {
     // The stick executes FP16 graphs only.
     return MVNC_UNSUPPORTED_GRAPH_FILE;
   }
@@ -340,22 +377,23 @@ mvncStatus allocate_graph_at(void* deviceHandle, void** graphHandle,
   auto g = std::make_shared<GraphState>();
   g->dev = d;
   try {
-    const double ready =
-        d->device->allocate_graph(package.compiled, host_time_s);
+    // Aliasing pointer: the device shares the package's compiled graph.
+    const double ready = d->device->allocate_graph(
+        std::shared_ptr<const graphc::CompiledGraph>(package,
+                                                     &package->compiled),
+        host_time_s);
     g->host_clock = ready;
   } catch (const ncs::OutOfDeviceMemory&) {
     return MVNC_OUT_OF_MEMORY;
   } catch (const std::exception&) {
     return MVNC_ERROR;
   }
-  g->compiled = std::move(package.compiled);
-  if (package.functional) {
+  if (package->functional) {
     // The graph file shipped its network + weights: execute functionally.
-    g->owned_graph = std::move(package.net);
-    g->owned_weights = std::move(package.weights);
-    g->func_graph = &*g->owned_graph;
-    g->func_weights = &*g->owned_weights;
+    g->func_graph = &package->net;
+    g->func_weights = &package->weights;
   }
+  g->package = std::move(package);
   GraphState* raw = g.get();
   d->graphs.push_back(raw);
   g_host.graph_handles.emplace(raw, std::move(g));
@@ -411,7 +449,7 @@ mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
     return MVNC_INVALID_PARAMETERS;
   }
   const auto expected =
-      static_cast<unsigned int>(g->compiled.input_bytes());
+      static_cast<unsigned int>(g->compiled().input_bytes());
   if (inputTensorLength != expected) return MVNC_INVALID_PARAMETERS;
   if (g->dev->device->is_open() && !g->dev->device->has_graph()) {
     // The firmware rebooted (detach + hot replug) and lost the graph;
@@ -467,12 +505,8 @@ mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
     tensor::TensorH input(in_shape);
     std::memcpy(input.data(), inputTensor, inputTensorLength);
     auto result = nn::run_forward(*g->func_graph, *g->func_weights, input);
-    pending.output.assign(result.output.data(),
-                          result.output.data() + result.output.numel());
-  } else {
-    pending.output.assign(
-        static_cast<std::size_t>(g->compiled.num_outputs),
-        ncsw::fp16::half{});
+    pending.output.emplace(result.output.data(),
+                           result.output.data() + result.output.numel());
   }
   g->pending.push_back(std::move(pending));
   check::verifier().on_load(graphHandle, MVNC_OK, g->host_clock);
@@ -544,7 +578,13 @@ mvncStatus mvncGetResult(void* graphHandle, void** outputData,
         {util::TraceArg::num("seq", static_cast<std::int64_t>(ticket->seq))});
   }
   g->last_ticket = *ticket;
-  g->last_output = std::move(pending.output);
+  if (pending.output) {
+    g->last_output = std::move(*pending.output);
+  } else {
+    // Refilled in place: the buffer keeps its capacity across results.
+    g->last_output.assign(static_cast<std::size_t>(g->compiled().num_outputs),
+                          ncsw::fp16::half{});
+  }
 
   *outputData = g->last_output.data();
   *outputDataLength = static_cast<unsigned int>(
@@ -565,29 +605,35 @@ mvncStatus mvncGetGraphOption(void* graphHandle, int option, void* data,
 
   std::lock_guard glock(g->mutex);
   if (g->dead) return MVNC_INVALID_PARAMETERS;
+  // One snapshot of the stick's profile, taken under the device lock.
+  std::shared_ptr<const myriad::InferenceProfile> profile;
+  try {
+    profile = g->dev->device->profile();
+  } catch (const std::logic_error&) {
+    // Stale after a detach + replug: the firmware lost the graph (and with
+    // it the layer profile) until the host re-allocates.
+  }
   switch (option) {
     case MVNC_TIME_TAKEN: {
-      // Stale after a detach + replug: the firmware lost the graph (and
-      // with it the layer profile) until the host re-allocates.
-      if (!g->dev->device->has_graph()) return MVNC_INVALID_PARAMETERS;
-      const auto& profile = g->dev->device->profile();
+      if (!profile) return MVNC_INVALID_PARAMETERS;
       const unsigned int needed = static_cast<unsigned int>(
-          profile.layers.size() * sizeof(float));
+          profile->layers.size() * sizeof(float));
       if (*dataLength < needed) return MVNC_INVALID_PARAMETERS;
       auto* out = static_cast<float*>(data);
-      for (std::size_t i = 0; i < profile.layers.size(); ++i) {
-        out[i] = static_cast<float>(profile.layers[i].time_s * 1e3);
+      for (std::size_t i = 0; i < profile->layers.size(); ++i) {
+        out[i] = static_cast<float>(profile->layers[i].time_s * 1e3);
       }
       *dataLength = needed;
       return MVNC_OK;
     }
     case MVNC_DEBUG_INFO: {
+      if (!profile) return MVNC_INVALID_PARAMETERS;
       char buf[160];
       const int len = std::snprintf(
           buf, sizeof(buf), "net=%s layers=%zu macs=%lld exec_ms=%.3f",
-          g->compiled.net_name.c_str(), g->compiled.layers.size(),
-          static_cast<long long>(g->compiled.total_macs()),
-          g->dev->device->profile().total_s * 1e3);
+          g->compiled().net_name.c_str(), g->compiled().layers.size(),
+          static_cast<long long>(g->compiled().total_macs()),
+          profile->total_s * 1e3);
       if (len < 0 || *dataLength < static_cast<unsigned int>(len) + 1) {
         return MVNC_INVALID_PARAMETERS;
       }

@@ -1,7 +1,9 @@
 #include "myriad/myriad.h"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 #include "util/metrics.h"
 
@@ -170,6 +172,70 @@ InferenceProfile Myriad2::execute(const graphc::CompiledGraph& graph) const {
   reg.gauge("myriad.last.ddr_busy_frac")
       .set(profile.total_s > 0.0 ? ddr.busy_time() / profile.total_s : 0.0);
   return profile;
+}
+
+namespace {
+
+/// The LayerCost fields Myriad2::execute reads: the simulation's inputs.
+auto sim_inputs(const graphc::LayerCost& l) {
+  return std::tie(l.kind, l.name, l.macs, l.in_bytes, l.out_bytes,
+                  l.weight_bytes, l.tiles, l.fits_cmx);
+}
+
+bool same_content(const graphc::CompiledGraph& a,
+                  const graphc::CompiledGraph& b) {
+  return a.precision == b.precision &&
+         std::equal(a.layers.begin(), a.layers.end(), b.layers.begin(),
+                    b.layers.end(),
+                    [](const graphc::LayerCost& x, const graphc::LayerCost& y) {
+                      return sim_inputs(x) == sim_inputs(y);
+                    });
+}
+
+/// Distinct (graph, config) pairs kept: a zoo of a few networks at two
+/// precisions on a nominal and a degraded chip fits many times over.
+constexpr std::size_t kProfileCacheCapacity = 32;
+
+struct ProfileEntry {
+  graphc::CompiledGraph graph;  ///< compared through same_content only
+  MyriadConfig config;
+  std::shared_ptr<const InferenceProfile> profile;
+};
+
+}  // namespace
+
+std::shared_ptr<const InferenceProfile> shared_profile(
+    const graphc::CompiledGraph& graph, const MyriadConfig& config) {
+  static std::mutex mutex;
+  static std::vector<ProfileEntry> entries;  // guarded by mutex; MRU first
+  auto& reg = util::metrics();
+  static util::Counter& m_hits = reg.counter("myriad.profile_cache.hits");
+  static util::Counter& m_misses = reg.counter("myriad.profile_cache.misses");
+  // Full-key lookup; moves a hit to the front (caller holds mutex).
+  const auto lookup = [&]() -> std::shared_ptr<const InferenceProfile> {
+    const auto it = std::find_if(
+        entries.begin(), entries.end(), [&](const ProfileEntry& e) {
+          return e.config == config && same_content(e.graph, graph);
+        });
+    if (it == entries.end()) return nullptr;
+    std::rotate(entries.begin(), it, it + 1);
+    return entries.front().profile;
+  };
+  {
+    std::lock_guard lock(mutex);
+    if (auto hit = lookup()) {
+      m_hits.add(1);
+      return hit;
+    }
+  }
+  m_misses.add(1);
+  auto fresh = std::make_shared<const InferenceProfile>(
+      Myriad2(config).execute(graph));
+  std::lock_guard lock(mutex);
+  if (auto raced = lookup()) return raced;  // another thread got there first
+  if (entries.size() == kProfileCacheCapacity) entries.pop_back();
+  entries.insert(entries.begin(), ProfileEntry{graph, config, fresh});
+  return fresh;
 }
 
 }  // namespace ncsw::myriad

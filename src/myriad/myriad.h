@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,8 @@ struct MyriadConfig {
   double p_shave_idle = 0.004;    ///< one SHAVE island, clock-gated
   double p_ddr_active = 0.30;     ///< DDR interface while streaming
   double p_base = 0.16;           ///< RISC cores + CMX + clocking, always on
+
+  bool operator==(const MyriadConfig&) const = default;
 };
 
 /// Per-layer execution record (what the NCAPI exposes as
@@ -84,6 +87,7 @@ class Myriad2 {
   const MyriadConfig& config() const noexcept { return config_; }
 
   /// Execute one inference of `graph` (batch 1) and return the profile.
+  /// Always simulates (shared_profile is the memoized entry point).
   /// Throws std::invalid_argument on empty graphs.
   InferenceProfile execute(const graphc::CompiledGraph& graph) const;
 
@@ -96,6 +100,17 @@ class Myriad2 {
  private:
   MyriadConfig config_;
 };
+
+/// The profile Myriad2(config).execute(graph) returns, simulated once per
+/// distinct (graph content, config) and shared afterwards. The profile is
+/// a pure function of the graph's precision, the LayerCost fields the
+/// simulation reads (kind, name, macs, in/out/weight bytes, tiles,
+/// fits_cmx) and the config, so that is the key; net_name is not part of
+/// it. Thread-safe; misses simulate outside the lock. The memo is
+/// process-wide and bounded (least recently used entries are dropped).
+/// Counts myriad.profile_cache.hits / .misses. Throws what execute throws.
+std::shared_ptr<const InferenceProfile> shared_profile(
+    const graphc::CompiledGraph& graph, const MyriadConfig& config = {});
 
 /// Thermal-design power constants the paper quotes (Section V).
 struct TdpConstants {

@@ -129,6 +129,14 @@ std::optional<sim::SimTime> NcsDevice::replug(sim::SimTime host_time) {
 
 sim::SimTime NcsDevice::allocate_graph(const graphc::CompiledGraph& graph,
                                        sim::SimTime host_time) {
+  return allocate_graph(std::make_shared<const graphc::CompiledGraph>(graph),
+                        host_time);
+}
+
+sim::SimTime NcsDevice::allocate_graph(
+    std::shared_ptr<const graphc::CompiledGraph> graph_ptr,
+    sim::SimTime host_time) {
+  const graphc::CompiledGraph& graph = *graph_ptr;
   std::lock_guard lock(mutex_);
   if (!open_) throw std::logic_error("NcsDevice::allocate_graph: not open");
   if (!fifo_.empty()) {
@@ -156,9 +164,8 @@ sim::SimTime NcsDevice::allocate_graph(const graphc::CompiledGraph& graph,
                          (static_cast<double>(blob_bytes) / (1024.0 * 1024.0));
   ready_at_ = window.end + parse_s;
 
-  myriad::Myriad2 chip(config_.chip);
-  profile_ = chip.execute(graph);
-  graph_ = graph;
+  profile_ = myriad::shared_profile(graph, config_.chip);
+  graph_ = std::move(graph_ptr);
   shave_free_at_ = ready_at_;
   auto& t = util::tracer();
   if (t.enabled()) {
@@ -173,16 +180,16 @@ sim::SimTime NcsDevice::allocate_graph(const graphc::CompiledGraph& graph,
 
 bool NcsDevice::has_graph() const {
   std::lock_guard lock(mutex_);
-  return graph_.has_value();
+  return graph_ != nullptr;
 }
 
-const graphc::CompiledGraph& NcsDevice::graph() const {
+std::shared_ptr<const graphc::CompiledGraph> NcsDevice::graph() const {
   std::lock_guard lock(mutex_);
   if (!graph_) throw std::logic_error("NcsDevice::graph: none allocated");
-  return *graph_;
+  return graph_;
 }
 
-const myriad::InferenceProfile& NcsDevice::profile() const {
+std::shared_ptr<const myriad::InferenceProfile> NcsDevice::profile() const {
   std::lock_guard lock(mutex_);
   if (!graph_) throw std::logic_error("NcsDevice::profile: none allocated");
   return profile_;
@@ -195,7 +202,7 @@ sim::SimTime NcsDevice::jittered_exec_time(std::uint64_t seq) const {
   const double u =
       static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
   const double factor = 1.0 + config_.exec_jitter_frac * (2.0 * u - 1.0);
-  return profile_.total_s * factor;
+  return profile_->total_s * factor;
 }
 
 std::optional<InferenceTicket> NcsDevice::load_tensor(sim::SimTime host_time,
@@ -274,7 +281,7 @@ std::optional<InferenceTicket> NcsDevice::load_tensor(sim::SimTime host_time,
   }
   if (config_.thermal_enabled) {
     thermal_.advance(exec_time,
-                     profile_.avg_power_w + config_.stick_overhead_w);
+                     profile_->avg_power_w + config_.stick_overhead_w);
     thermal_clock_ = t.exec_start + exec_time;
   }
   t.exec_end = t.exec_start + exec_time;
@@ -301,13 +308,13 @@ void NcsDevice::trace_inference(const InferenceTicket& t) const {
   if (config_.thermal_enabled) {
     tr.counter(dev + " temp_c", t.exec_start, thermal_.temperature_c());
   }
-  if (tr.layers_enabled() && profile_.total_s > 0.0) {
+  if (tr.layers_enabled() && profile_->total_s > 0.0) {
     // Project the chip profile's layer offsets onto this inference's
     // execution window (thermal throttling / jitter stretch it
     // uniformly, which is exactly how the firmware slows down).
-    const double scale = (t.exec_end - t.exec_start) / profile_.total_s;
+    const double scale = (t.exec_end - t.exec_start) / profile_->total_s;
     const int lane = tr.lane(dev + " layers");
-    for (const auto& lp : profile_.layers) {
+    for (const auto& lp : profile_->layers) {
       if (lp.time_s <= 0.0) continue;
       const double start = t.exec_start + lp.start_s * scale;
       tr.complete(
@@ -361,7 +368,7 @@ std::optional<InferenceTicket> NcsDevice::get_result(sim::SimTime host_time,
 
   ++completed_;
   last_completion_ = std::max(last_completion_, t.result_ready);
-  energy_j_ += profile_.energy_j +
+  energy_j_ += profile_->energy_j +
                (t.exec_end - t.exec_start) * config_.stick_overhead_w;
   m_inferences_.add(1);
   m_exec_ms_.record((t.exec_end - t.exec_start) * 1e3);
@@ -386,7 +393,7 @@ sim::SimTime NcsDevice::last_completion() const {
 
 double NcsDevice::active_power_w() const {
   std::lock_guard lock(mutex_);
-  return profile_.avg_power_w + config_.stick_overhead_w;
+  return (profile_ ? profile_->avg_power_w : 0.0) + config_.stick_overhead_w;
 }
 
 double NcsDevice::energy_j() const {

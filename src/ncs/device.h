@@ -156,15 +156,23 @@ class NcsDevice {
   std::uint64_t results_lost() const;
 
   /// Upload and allocate a compiled graph. Replaces any previous graph.
-  /// Returns the time the allocation finished. Throws when not open.
+  /// Returns the time the allocation finished. Throws when not open. The
+  /// chip profile comes from myriad::shared_profile, so allocating a graph
+  /// whose content was simulated before reuses that simulation.
+  sim::SimTime allocate_graph(
+      std::shared_ptr<const graphc::CompiledGraph> graph,
+      sim::SimTime host_time);
+  /// Same, for a graph the device copies.
   sim::SimTime allocate_graph(const graphc::CompiledGraph& graph,
                               sim::SimTime host_time);
   bool has_graph() const;
-  /// The allocated graph (throws when absent).
-  const graphc::CompiledGraph& graph() const;
+  /// The allocated graph (throws std::logic_error when absent). The
+  /// snapshot stays valid after a later re-allocate or detach.
+  std::shared_ptr<const graphc::CompiledGraph> graph() const;
 
-  /// The chip-level profile of the allocated graph (layer times, energy).
-  const myriad::InferenceProfile& profile() const;
+  /// The chip-level profile of the allocated graph (layer times, energy);
+  /// throws std::logic_error when absent. A snapshot like graph().
+  std::shared_ptr<const myriad::InferenceProfile> profile() const;
 
   /// Queue one inference: transfers the input over USB and schedules
   /// execution behind whatever is already queued. Fails (returns nullopt)
@@ -247,8 +255,10 @@ class NcsDevice {
   std::size_t detach_cursor_ = 0;    ///< next unconsumed detach event
   std::uint64_t results_lost_ = 0;   ///< in-flight work killed by detaches
   sim::SimTime ready_at_ = 0.0;
-  std::optional<graphc::CompiledGraph> graph_;
-  myriad::InferenceProfile profile_;
+  std::shared_ptr<const graphc::CompiledGraph> graph_;
+  /// Kept across a detach (graph_ is dropped) so active_power_w() still
+  /// reports the last allocated graph; null before the first allocate.
+  std::shared_ptr<const myriad::InferenceProfile> profile_;
   std::deque<InferenceTicket> fifo_;
   sim::SimTime shave_free_at_ = 0.0;  ///< when the SHAVE array frees up
   std::uint64_t next_seq_ = 0;

@@ -358,6 +358,17 @@ TEST(MvncFaults, DetachMapsToGoneAndReplugNeedsReallocation) {
   EXPECT_FALSE(mvnc::replug_device(dev, 3.0).has_value());  // still detached
   const auto ready = mvnc::replug_device(dev, 5.0);
   ASSERT_TRUE(ready.has_value());
+  // The firmware lost the graph, and its profile with it.
+  char info[160];
+  unsigned int info_len = sizeof(info);
+  EXPECT_EQ(mvnc::mvncGetGraphOption(graph, mvnc::MVNC_DEBUG_INFO, info,
+                                     &info_len),
+            mvnc::MVNC_INVALID_PARAMETERS);
+  float times[256];
+  unsigned int times_len = sizeof(times);
+  EXPECT_EQ(mvnc::mvncGetGraphOption(graph, mvnc::MVNC_TIME_TAKEN, times,
+                                     &times_len),
+            mvnc::MVNC_INVALID_PARAMETERS);
   // The old graph handle is stale; re-allocation brings the stick back.
   EXPECT_EQ(mvnc::mvncDeallocateGraph(graph), mvnc::MVNC_OK);
   void* graph2 = nullptr;

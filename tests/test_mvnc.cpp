@@ -159,6 +159,39 @@ TEST_F(MvncTest, LoadGetRoundTrip) {
   EXPECT_EQ(out_len, 10u * 2u);  // 10 classes, FP16
   EXPECT_EQ(user, &marker);
   ASSERT_NE(out, nullptr);
+  // A timing-only graph returns zeros, every time.
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<std::uint8_t> zeros(out_len, 0);
+    EXPECT_EQ(std::memcmp(out, zeros.data(), out_len), 0);
+    ASSERT_EQ(mvncLoadTensor(graph, input.data(),
+                             static_cast<unsigned int>(input.size() * 2),
+                             nullptr),
+              MVNC_OK);
+    ASSERT_EQ(mvncGetResult(graph, &out, &out_len, &user), MVNC_OK);
+    EXPECT_EQ(out_len, 10u * 2u);
+  }
+}
+
+TEST_F(MvncTest, ByteIdenticalGraphFilesShareOneParsedGraph) {
+  void* dev0 = open_first();
+  void* dev1 = nullptr;
+  ASSERT_EQ(mvncOpenDevice("/sim/ncs1", &dev1), MVNC_OK);
+  void* g0 = allocate(dev0);
+  void* g1 = allocate(dev1);  // a separate copy of the same bytes
+  const auto c0 = graph_device(g0)->graph();
+  EXPECT_EQ(graph_device(g1)->graph(), c0);
+  EXPECT_EQ(graph_device(g1)->profile(), graph_device(g0)->profile());
+
+  // Different bytes parse to their own graph.
+  const auto other = serialize(
+      compile(ncsw::nn::build_tiny_googlenet({32, 5}), Precision::kFP16));
+  ASSERT_EQ(mvncDeallocateGraph(g1), MVNC_OK);
+  void* g2 = nullptr;
+  ASSERT_EQ(mvncAllocateGraph(dev1, &g2, other.data(),
+                              static_cast<unsigned int>(other.size())),
+            MVNC_OK);
+  EXPECT_NE(graph_device(g2)->graph(), c0);
+  EXPECT_EQ(graph_device(g2)->graph()->num_outputs, 5);
 }
 
 TEST_F(MvncTest, LoadRejectsWrongSize) {

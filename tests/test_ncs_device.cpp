@@ -42,7 +42,7 @@ TEST(NcsDevice, LifecycleStateMachine) {
   const double alloc = rig.dev.allocate_graph(tiny_graph(), ready);
   EXPECT_GT(alloc, ready);
   EXPECT_TRUE(rig.dev.has_graph());
-  EXPECT_EQ(rig.dev.graph().net_name, "tiny_googlenet");
+  EXPECT_EQ(rig.dev.graph()->net_name, "tiny_googlenet");
 }
 
 TEST(NcsDevice, LoadThenGetProducesOrderedTicket) {
@@ -97,7 +97,7 @@ TEST(NcsDevice, JitterIsBoundedAndDeterministic) {
   Rig rig;
   rig.dev.open(0.0);
   const double t0 = rig.dev.allocate_graph(tiny_graph(), 0.0);
-  const double nominal = rig.dev.profile().total_s;
+  const double nominal = rig.dev.profile()->total_s;
   double cursor = t0;
   for (int i = 0; i < 20; ++i) {
     const auto load = rig.dev.load_tensor(cursor);

@@ -227,6 +227,31 @@ TEST(BenchReportTest, SchemaRoundTrips) {
   EXPECT_EQ(anchors[1].find("ratio")->kind, util::JsonValue::Kind::kNull);
   EXPECT_DOUBLE_EQ(
       doc->at_path({"values", "cpu_gap_vs_vpu_pct"})->number, 40.7);
+  EXPECT_EQ(doc->find("self"), nullptr);  // opt-in only
+}
+
+TEST(BenchReportTest, SelfCostCountsSimEventsSinceSetup) {
+  util::Cli cli("selfcost", "self-cost report");
+  bench::add_common_flags(cli);
+  bench::setup(cli);
+  util::metrics().counter("sim.engine.events").add(500);
+  bench::BenchReport report("selfcost");
+  report.value("x", 1.0);
+  report.self_cost();
+  auto doc = util::json_parse(report.to_json());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_DOUBLE_EQ(doc->at_path({"self", "sim_events"})->number, 500.0);
+  EXPECT_GE(doc->at_path({"self", "wall_s"})->number, 0.0);
+  EXPECT_NE(doc->at_path({"self", "events_per_s"}), nullptr);
+  EXPECT_EQ(doc->at_path({"self", "wall_us_per_request"}), nullptr);
+  EXPECT_DOUBLE_EQ(doc->at_path({"values", "x"})->number, 1.0);
+
+  report.self_cost(/*requests=*/250);
+  doc = util::json_parse(report.to_json());
+  ASSERT_TRUE(doc.has_value());
+  const double wall_s = doc->at_path({"self", "wall_s"})->number;
+  EXPECT_NEAR(doc->at_path({"self", "wall_us_per_request"})->number,
+              1e6 * wall_s / 250.0, 1e-6);
 }
 
 // The guarantee the whole layer exists for: with two sticks driven
