@@ -3,21 +3,26 @@
 // FP32 and FP16, on the pre-PR reference kernels (the recorded
 // baseline), on the cache-tuned kernels at 1 and N threads, and on the
 // opt-in fast tier (fused conv+bias+ReLU, direct 3x3/1x1 convolution,
-// int8 FC, affinity-pinned chunking; docs/performance.md). The
+// int8 FC, CPU-pinned pool; docs/performance.md). The
 // reference/optimised cells are bit-identical and differ only in time;
 // the fast cells forfeit bit-identity, so the report also records their
 // top-1 agreement and mean confidence delta against the bit-identical
 // path (the paper's fig7 FP16-vs-FP32 methodology).
 //
 // The report (BENCH_perf_forward.json) is the one ncsw-bench-v1 report
-// on the *wall* clock: values record img/s per cell, the speedup ratios
-// and per-layer milliseconds of the optimised configuration. With
-// --trace the profiled passes emit one "host" span per layer, so
+// on the *wall* clock: values record img/s per cell, the speedup ratios,
+// per-layer milliseconds of the optimised configuration, and for the opt
+// and fast cells the paired tN/t1 rate ratio and per-layer-kind
+// milliseconds at 1 and N threads (the t1/tN comparison the kernels'
+// per-chunk work floor is calibrated on).
+// With --trace the profiled passes emit one "host" span per layer, so
 // ncsw_profile-style viewers show where the time went.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
 #include <thread>
 
@@ -26,17 +31,12 @@
 #include "dataset/synthetic.h"
 #include "nn/executor.h"
 #include "nn/quant.h"
+#include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-struct Cell {
-  std::string name;      // e.g. "fp16 opt tN"
-  double img_per_s = 0;
-  double seconds = 0;
-  std::int64_t images = 0;
-};
 
 // Deterministic input batch (same fill as the golden tests, so every
 // timed cell computes the exact same tensors).
@@ -52,24 +52,102 @@ ncsw::tensor::Tensor<T> make_input(const ncsw::nn::Graph& graph,
   return ncsw::tensor::tensor_cast<T>(in);
 }
 
+// Wall ms per forward pass spent in each layer kind (keyed by
+// layer_kind_name), the median over `passes` profiled passes.
+// profile_layers keeps a batch whole, so at N threads this measures the
+// kernels' own fan-out, not the image-level split.
 template <typename T>
-Cell time_cell(const std::string& name, const ncsw::nn::Graph& graph,
+std::map<std::string, double> kind_ms(const ncsw::nn::Graph& graph,
+                                      const ncsw::nn::Weights<T>& weights,
+                                      const ncsw::tensor::Tensor<T>& input,
+                                      ncsw::nn::ExecOptions opts, int passes) {
+  opts.profile_layers = true;
+  (void)ncsw::nn::run_forward(graph, weights, input, opts);  // warmup
+  std::map<std::string, std::vector<double>> samples;
+  for (int i = 0; i < passes; ++i) {
+    const auto r = ncsw::nn::run_forward(graph, weights, input, opts);
+    std::map<std::string, double> pass;
+    for (int id = 1; id < graph.size(); ++id) {
+      pass[ncsw::nn::layer_kind_name(graph.layer(id).kind)] +=
+          r.layer_seconds[static_cast<std::size_t>(id)] * 1e3;
+    }
+    for (const auto& [kind, ms] : pass) samples[kind].push_back(ms);
+  }
+  std::map<std::string, double> out;
+  for (const auto& [kind, ms] : samples) {
+    out[kind] = ncsw::util::percentile(ms, 50.0);
+  }
+  return out;
+}
+
+// One timed configuration: a forward pass, its per-layer-kind profile,
+// and the wall-clock rate measured for it.
+struct Cell {
+  std::string key;  // report key prefix, e.g. "fp16.opt.tN"
+  std::function<void()> pass;
+  std::function<std::map<std::string, double>()> kinds;
+  std::vector<double> pass_rates;  // img/s of each timed pass, in order
+  double img_per_s = 0;            // the median pass
+};
+
+template <typename T>
+Cell make_cell(std::string key, const ncsw::nn::Graph& graph,
                const ncsw::nn::Weights<T>& weights,
                const ncsw::tensor::Tensor<T>& input,
-               const ncsw::nn::ExecOptions& opts, std::int64_t images) {
-  // Warmup: grows the workspaces and faults in the weights.
-  (void)ncsw::nn::run_forward(graph, weights, input, opts);
+               const ncsw::nn::ExecOptions& opts) {
   Cell cell;
-  cell.name = name;
-  const auto t0 = Clock::now();
-  while (cell.images < images) {
+  cell.key = std::move(key);
+  cell.pass = [&graph, &weights, &input, opts] {
     (void)ncsw::nn::run_forward(graph, weights, input, opts);
-    cell.images += input.shape().n;
-  }
-  cell.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  cell.img_per_s =
-      cell.seconds > 0 ? static_cast<double>(cell.images) / cell.seconds : 0;
+  };
+  cell.kinds = [&graph, &weights, &input, opts] {
+    return kind_ms(graph, weights, input, opts, 20);
+  };
   return cell;
+}
+
+// Time every cell over about `images` images. The cells take turns
+// pass by pass, and each is rated by its median pass, so a preempted
+// pass does not count and a drift in the machine's speed (clock
+// frequency, other tenants) lands on all cells alike. Each timed pass
+// follows an untimed pass of the same cell: a pass that follows another
+// cell runs faster or slower depending on which cell that was (caches,
+// branch predictors), which would bias the comparison by table order.
+void time_cells(std::vector<Cell>& cells, std::int64_t images,
+                std::int64_t batch) {
+  const std::int64_t passes =
+      std::max<std::int64_t>((images + batch - 1) / batch, 1);
+  for (std::int64_t p = 0; p < passes; ++p) {
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      // Every other round walks the table backwards, so no cell always
+      // runs right after the same neighbour.
+      Cell& c = cells[p % 2 == 0 ? k : cells.size() - 1 - k];
+      c.pass();
+      const auto t0 = Clock::now();
+      c.pass();
+      const double s =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      c.pass_rates.push_back(s > 0 ? static_cast<double>(batch) / s : 0);
+    }
+  }
+  for (Cell& c : cells) {
+    c.img_per_s = ncsw::util::percentile(c.pass_rates, 50.0);
+  }
+}
+
+// tN's rate over t1's, as the median of the per-round ratios. The two
+// passes of a round run back to back, so the ratio cancels the machine's
+// speed at that moment; the ratio of the two medians does not, and on a
+// shared host it wanders by several percent between runs of one
+// configuration against itself.
+double paired_ratio(const Cell& tn, const Cell& t1) {
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < tn.pass_rates.size(); ++r) {
+    if (t1.pass_rates[r] > 0) {
+      ratios.push_back(tn.pass_rates[r] / t1.pass_rates[r]);
+    }
+  }
+  return ncsw::util::percentile(ratios, 50.0);
 }
 
 // Fast-vs-reference digest tolerance (the fig7 methodology): top-1
@@ -132,7 +210,7 @@ int main(int argc, char** argv) {
   cli.add_int("batch", 1, "batch size per forward pass");
   cli.add_int("threads", 0,
               "thread count for the threaded cells (0 = auto: "
-              "$NCSW_THREADS, else hardware concurrency)");
+              "$NCSW_THREADS, else the allowed CPUs)");
   bench::add_common_flags(cli);
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -187,37 +265,29 @@ int main(int argc, char** argv) {
   fast16_tn.fast = true;
   fast16_tn.quant = &quant_f16;
 
+  const auto& g = bundle->graph;
   std::vector<Cell> cells;
-  cells.push_back(time_cell<float>("fp32 ref t1", bundle->graph,
-                                   bundle->weights_f32, in_f32, ref_opts,
-                                   images));
-  cells.push_back(time_cell<float>("fp32 opt t1", bundle->graph,
-                                   bundle->weights_f32, in_f32, opt_t1,
-                                   images));
-  cells.push_back(time_cell<float>("fp32 opt tN", bundle->graph,
-                                   bundle->weights_f32, in_f32, opt_tn,
-                                   images));
-  cells.push_back(time_cell<fp16::half>("fp16 ref t1", bundle->graph,
-                                        bundle->weights_f16, in_f16, ref_opts,
-                                        images));
-  cells.push_back(time_cell<fp16::half>("fp16 opt t1", bundle->graph,
-                                        bundle->weights_f16, in_f16, opt_t1,
-                                        images));
-  cells.push_back(time_cell<fp16::half>("fp16 opt tN", bundle->graph,
-                                        bundle->weights_f16, in_f16, opt_tn,
-                                        images));
-  cells.push_back(time_cell<float>("fp32 fast t1", bundle->graph,
-                                   bundle->weights_f32, in_f32, fast32_t1,
-                                   images));
-  cells.push_back(time_cell<float>("fp32 fast tN", bundle->graph,
-                                   bundle->weights_f32, in_f32, fast32_tn,
-                                   images));
-  cells.push_back(time_cell<fp16::half>("fp16 fast t1", bundle->graph,
-                                        bundle->weights_f16, in_f16, fast16_t1,
-                                        images));
-  cells.push_back(time_cell<fp16::half>("fp16 fast tN", bundle->graph,
-                                        bundle->weights_f16, in_f16, fast16_tn,
-                                        images));
+  cells.push_back(make_cell("fp32.ref.t1", g, bundle->weights_f32, in_f32,
+                            ref_opts));
+  cells.push_back(make_cell("fp32.opt.t1", g, bundle->weights_f32, in_f32,
+                            opt_t1));
+  cells.push_back(make_cell("fp32.opt.tN", g, bundle->weights_f32, in_f32,
+                            opt_tn));
+  cells.push_back(make_cell("fp16.ref.t1", g, bundle->weights_f16, in_f16,
+                            ref_opts));
+  cells.push_back(make_cell("fp16.opt.t1", g, bundle->weights_f16, in_f16,
+                            opt_t1));
+  cells.push_back(make_cell("fp16.opt.tN", g, bundle->weights_f16, in_f16,
+                            opt_tn));
+  cells.push_back(make_cell("fp32.fast.t1", g, bundle->weights_f32, in_f32,
+                            fast32_t1));
+  cells.push_back(make_cell("fp32.fast.tN", g, bundle->weights_f32, in_f32,
+                            fast32_tn));
+  cells.push_back(make_cell("fp16.fast.t1", g, bundle->weights_f16, in_f16,
+                            fast16_t1));
+  cells.push_back(make_cell("fp16.fast.tN", g, bundle->weights_f16, in_f16,
+                            fast16_tn));
+  time_cells(cells, images, batch);
 
   const double fp32_base = cells[0].img_per_s;
   const double fp16_base = cells[3].img_per_s;
@@ -226,11 +296,12 @@ int main(int argc, char** argv) {
                     std::to_string(batch) + ", N = " +
                     std::to_string(threads) + " threads)");
   table.set_header({"Cell", "img/s", "ms/img", "speedup vs ref t1"});
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    const bool is_f32 = c.name.compare(0, 4, "fp32") == 0;
+  for (const Cell& c : cells) {
+    const bool is_f32 = c.key.compare(0, 4, "fp32") == 0;
     const double base = is_f32 ? fp32_base : fp16_base;
-    table.add_row({c.name, util::Table::num(c.img_per_s, 1),
+    std::string name = c.key;  // "fp16.opt.tN" -> "fp16 opt tN"
+    std::replace(name.begin(), name.end(), '.', ' ');
+    table.add_row({name, util::Table::num(c.img_per_s, 1),
                    util::Table::num(1000.0 / std::max(c.img_per_s, 1e-9), 3),
                    util::Table::num(base > 0 ? c.img_per_s / base : 0, 2)});
   }
@@ -262,19 +333,12 @@ int main(int argc, char** argv) {
   // interpretable: core count, worker->CPU pinning of the fast pool, and
   // the quantization configuration the fast cells ran with.
   report.config("cores",
-                static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+                static_cast<std::int64_t>(util::allowed_cpu_count()));
   report.config("pinning", nn::kernels::fast_pool().affinity_layout());
   report.config("quant",
                 "int8 symmetric per-channel (fc), fp32 conv panels; " +
                     std::to_string(quant_f32.size()) + " layers");
-  const char* keys[] = {"fp32.ref.t1.img_per_s",  "fp32.opt.t1.img_per_s",
-                        "fp32.opt.tN.img_per_s",  "fp16.ref.t1.img_per_s",
-                        "fp16.opt.t1.img_per_s",  "fp16.opt.tN.img_per_s",
-                        "fp32.fast.t1.img_per_s", "fp32.fast.tN.img_per_s",
-                        "fp16.fast.t1.img_per_s", "fp16.fast.tN.img_per_s"};
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    report.value(keys[i], cells[i].img_per_s);
-  }
+  for (const Cell& c : cells) report.value(c.key + ".img_per_s", c.img_per_s);
   report.value("fp32.speedup_opt_t1_x",
                fp32_base > 0 ? cells[1].img_per_s / fp32_base : 0);
   report.value("fp32.speedup_total_x",
@@ -305,6 +369,23 @@ int main(int argc, char** argv) {
                  prof_f32.layer_seconds[static_cast<std::size_t>(id)] * 1e3);
     report.value("fp16.layer_ms." + name,
                  prof_f16.layer_seconds[static_cast<std::size_t>(id)] * 1e3);
+  }
+  // Threaded vs single-thread rate of the opt and fast cells (the t1 cell
+  // sits right before its tN cell in the table).
+  for (std::size_t i = 1; i < cells.size(); ++i) {
+    const std::string& key = cells[i].key;
+    if (key.size() < 3 || key.compare(key.size() - 3, 3, ".tN") != 0) {
+      continue;
+    }
+    report.value(key.substr(0, key.size() - 3) + ".tN_vs_t1_x",
+                 paired_ratio(cells[i], cells[i - 1]));
+  }
+  // Per-layer-kind t1/tN of the opt and fast cells.
+  for (const Cell& c : cells) {
+    if (c.key.find(".ref.") != std::string::npos) continue;
+    for (const auto& [kind, ms] : c.kinds()) {
+      report.value(c.key + ".kind_ms." + kind, ms);
+    }
   }
   bench::write_report(report, cli);
 

@@ -5,8 +5,8 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
 
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace ncsw::nn {
@@ -33,8 +33,7 @@ int resolve_threads(int requested) noexcept {
     const long v = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && v > 0) return static_cast<int>(v);
   }
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? static_cast<int>(hc) : 1;
+  return static_cast<int>(util::allowed_cpu_count());
 }
 
 bool resolve_fast(bool requested) noexcept {
@@ -45,33 +44,22 @@ bool resolve_fast(bool requested) noexcept {
   return v == "1" || v == "true" || v == "on";
 }
 
-template <typename T>
-ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
-                          const tensor::Tensor<T>& input,
-                          const ExecOptions& options) {
-  graph.validate();
-  check_weights(graph, weights);
-  const Layer& in_layer = graph.layer(graph.input_id());
-  const Shape expected = in_layer.out_shape.with_batch(input.shape().n);
-  if (input.shape() != expected) {
-    throw std::invalid_argument("run_forward: input shape " +
-                                input.shape().to_string() + ", expected " +
-                                expected.to_string());
-  }
+namespace {
 
-  // One workspace per executing thread: the scratch arenas grow to the
-  // largest layer on first use and are reused by every later pass.
+// One workspace per executing thread: the scratch arenas grow to the
+// largest layer on first use and are reused by every later pass.
+kernels::Workspace& thread_workspace() {
   thread_local kernels::Workspace workspace;
-  kernels::ExecCtx ctx;
-  ctx.ws = &workspace;
-  ctx.reference = options.reference_kernels;
-  ctx.threads = options.reference_kernels ? 1 : resolve_threads(options.threads);
-  ctx.fast = !options.reference_kernels && resolve_fast(options.fast);
-  ctx.quant = ctx.fast ? options.quant : nullptr;
-  ctx.pool = ctx.threads > 1
-                 ? (ctx.fast ? &kernels::fast_pool() : &kernels::compute_pool())
-                 : nullptr;
+  return workspace;
+}
 
+// The layer walk of one forward pass over a validated graph, on the
+// calling thread's workspace.
+template <typename T>
+ExecResult<T> forward_pass(const Graph& graph, const Weights<T>& weights,
+                           const tensor::Tensor<T>& input,
+                           const ExecOptions& options, kernels::ExecCtx ctx) {
+  ctx.ws = &thread_workspace();
   std::vector<tensor::Tensor<T>> acts(static_cast<std::size_t>(graph.size()));
   std::vector<int> remaining = consumer_counts(graph);
   acts[0] = input;
@@ -211,6 +199,66 @@ ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
     result.activations[static_cast<std::size_t>(graph.output_id())] =
         result.output;
   }
+  return result;
+}
+
+}  // namespace
+
+template <typename T>
+ExecResult<T> run_forward(const Graph& graph, const Weights<T>& weights,
+                          const tensor::Tensor<T>& input,
+                          const ExecOptions& options) {
+  graph.validate();
+  check_weights(graph, weights);
+  const Shape item = graph.layer(graph.input_id()).out_shape;
+  const std::int64_t batch = input.shape().n;
+  const Shape expected = item.with_batch(batch);
+  if (input.shape() != expected) {
+    throw std::invalid_argument("run_forward: input shape " +
+                                input.shape().to_string() + ", expected " +
+                                expected.to_string());
+  }
+
+  kernels::ExecCtx ctx;
+  ctx.reference = options.reference_kernels;
+  ctx.threads =
+      options.reference_kernels ? 1 : resolve_threads(options.threads);
+  ctx.fast = !options.reference_kernels && resolve_fast(options.fast);
+  ctx.quant = ctx.fast ? options.quant : nullptr;
+  ctx.pool = ctx.threads > 1
+                 ? (ctx.fast ? &kernels::fast_pool() : &kernels::compute_pool())
+                 : nullptr;
+
+  // Image-level parallelism: a batch is split into one contiguous
+  // sub-batch per thread, each run with serial kernels. Every kernel
+  // computes each batch item on its own (the fast tier's int8 FC
+  // quantizes activations per item too), so the bytes equal one pass
+  // over the whole batch. Passes that keep every activation or profile
+  // each layer stay whole, so their per-layer results describe the
+  // whole batch.
+  const std::int64_t parts =
+      ctx.pool && !options.keep_all_activations && !options.profile_layers
+          ? std::min<std::int64_t>(batch, ctx.threads)
+          : 1;
+  if (parts <= 1) return forward_pass(graph, weights, input, options, ctx);
+
+  kernels::ExecCtx serial = ctx;
+  serial.pool = nullptr;
+  serial.threads = 1;
+  ExecResult<T> result;
+  result.output.resize(
+      graph.layer(graph.output_id()).out_shape.with_batch(batch));
+  ctx.pool->parallel_for(static_cast<std::size_t>(parts), [&](std::size_t i) {
+    const auto part = static_cast<std::int64_t>(i);
+    const std::int64_t b0 = batch * part / parts;
+    const std::int64_t b1 = batch * (part + 1) / parts;
+    tensor::Tensor<T> sub(item.with_batch(b1 - b0));
+    std::copy(input.batch_ptr(b0), input.batch_ptr(b0) + sub.numel(),
+              sub.data());
+    const auto r = forward_pass(graph, weights, sub, options, serial);
+    std::copy(r.output.data(), r.output.data() + r.output.numel(),
+              result.output.batch_ptr(b0));
+  });
   return result;
 }
 

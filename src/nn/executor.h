@@ -5,7 +5,9 @@
 //
 // The kernels behind it are threaded but deterministic: outputs are
 // bit-identical for any `threads` value (docs/performance.md), so the
-// knob is purely a wall-clock choice.
+// knob is purely a wall-clock choice. A batch of several images is
+// split across threads image by image; a single image is split inside
+// the layers large enough to pay for it.
 #pragma once
 
 #include <vector>
@@ -22,9 +24,12 @@ struct ExecOptions {
   /// Keep every layer's activation (memory-heavy; default keeps only what
   /// downstream layers still need).
   bool keep_all_activations = false;
-  /// Slab fan-out for the threaded kernels: 0 resolves via
-  /// resolve_threads() ($NCSW_THREADS, else hardware concurrency);
-  /// 1 runs serial; n > 1 splits each kernel into n chunks.
+  /// Thread count: 0 resolves via resolve_threads() ($NCSW_THREADS,
+  /// else the allowed CPUs); 1 runs serial. With n > 1, a batch of
+  /// several images runs as min(n, batch) contiguous sub-batches on
+  /// serial kernels (unless keep_all_activations or profile_layers is
+  /// set); otherwise each kernel splits into at most n chunks, and only
+  /// into chunks above its per-chunk work floor.
   int threads = 0;
   /// Route every layer through the pre-PR scalar kernels — the recorded
   /// perf baseline (forces serial execution).
@@ -35,7 +40,7 @@ struct ExecOptions {
   bool profile_layers = false;
   /// Opt into the fast tier (docs/performance.md): fused conv+bias+ReLU,
   /// direct 3x3/1x1 convolution, int8 fully-connected layers (when
-  /// `quant` is set) and affinity-pinned chunk placement. Also enabled
+  /// `quant` is set) and a CPU-pinned pool. Also enabled
   /// by $NCSW_FAST=1; default off, keeping the bit-identical contract
   /// (and every golden digest) untouched. Ignored with
   /// reference_kernels. Fusion is skipped under keep_all_activations so
@@ -50,7 +55,8 @@ struct ExecOptions {
 
 /// Thread count an ExecOptions::threads value resolves to: the value
 /// itself when positive, else $NCSW_THREADS when set to a positive
-/// integer, else std::thread::hardware_concurrency() (minimum 1).
+/// integer, else util::allowed_cpu_count() — the CPUs in the process's
+/// affinity mask, which respects cpusets and taskset (minimum 1).
 int resolve_threads(int requested) noexcept;
 
 /// Whether an ExecOptions::fast value resolves on: true when requested,

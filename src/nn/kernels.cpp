@@ -4,11 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <future>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "tensor/gemm.h"
 
@@ -22,19 +19,16 @@ using ncsw::fp16::half;
 // Slab fan-out. Work is split into a fixed number of contiguous chunks;
 // every chunk writes a disjoint output region with the same per-element
 // arithmetic as the serial path, so results are bit-identical regardless
-// of the chunk count or which pool worker runs which chunk.
+// of the chunk count or which thread runs which chunk.
 
-int plan_chunks(const ExecCtx& ctx, std::int64_t total) {
+// Chunks for `total` independent items of `item_work` operations each:
+// at most ctx.threads, and no chunk below kMinChunkWork.
+int plan_chunks(const ExecCtx& ctx, std::int64_t total,
+                std::int64_t item_work) {
   if (!ctx.pool || ctx.threads <= 1 || total <= 1) return 1;
-  std::int64_t limit = ctx.threads;
-  if (ctx.fast) {
-    // Affinity routing addresses chunk t to worker t (submit_to throws
-    // past the pool), so the fast tier never plans more chunks than the
-    // pinned pool has workers.
-    limit = std::min<std::int64_t>(
-        limit, static_cast<std::int64_t>(ctx.pool->size()));
-  }
-  return static_cast<int>(std::min<std::int64_t>(limit, total));
+  const std::int64_t by_work = total * item_work / kMinChunkWork;
+  return static_cast<int>(std::clamp<std::int64_t>(
+      std::min<std::int64_t>(ctx.threads, by_work), 1, total));
 }
 
 template <typename Fn>
@@ -45,35 +39,18 @@ void run_chunks(const ExecCtx& ctx, int chunks, std::int64_t total,
     fn(0, 0, total);
     return;
   }
-  std::vector<std::future<void>> futs;
-  futs.reserve(static_cast<std::size_t>(chunks));
-  for (int t = 0; t < chunks; ++t) {
-    const std::int64_t begin = total * t / chunks;
-    const std::int64_t end = total * (t + 1) / chunks;
-    auto task = [&fn, t, begin, end] { fn(t, begin, end); };
-    // Fast tier: chunk t always goes to worker t, so a given output
-    // slab is produced on the same (pinned) core every layer and every
-    // pass, instead of whichever worker dequeues first.
-    futs.push_back(ctx.fast
-                       ? ctx.pool->submit_to(static_cast<std::size_t>(t), task)
-                       : ctx.pool->submit(task));
-  }
-  // Wait for every chunk before surfacing the first failure, so no task
-  // can outlive the captured locals.
-  std::exception_ptr err;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!err) err = std::current_exception();
-    }
-  }
-  if (err) std::rethrow_exception(err);
+  ctx.pool->parallel_for(static_cast<std::size_t>(chunks),
+                         [&](std::size_t i) {
+                           const auto t = static_cast<std::int64_t>(i);
+                           fn(static_cast<int>(t), total * t / chunks,
+                              total * (t + 1) / chunks);
+                         });
 }
 
 template <typename Fn>
-void parallel_chunks(const ExecCtx& ctx, std::int64_t total, const Fn& fn) {
-  run_chunks(ctx, plan_chunks(ctx, total), total, fn);
+void parallel_chunks(const ExecCtx& ctx, std::int64_t total,
+                     std::int64_t item_work, const Fn& fn) {
+  run_chunks(ctx, plan_chunks(ctx, total, item_work), total, fn);
 }
 
 // ---------------------------------------------------------------------------
@@ -257,7 +234,7 @@ const float* batch_as_f32(const Tensor<T>& in, std::int64_t b, Workspace& ws,
     const std::int64_t chw = in.shape().chw();
     float* buf = ws.acts(chw);
     const half* src = in.batch_ptr(b);
-    parallel_chunks(ctx, chw, [&](int, std::int64_t e0, std::int64_t e1) {
+    parallel_chunks(ctx, chw, 1, [&](int, std::int64_t e0, std::int64_t e1) {
       if (ctx.fast) {
         ncsw::fp16::half_to_float_span_fast(
             src + e0, buf + e0, static_cast<std::size_t>(e1 - e0));
@@ -525,15 +502,13 @@ void max_pool3_plane(const float* sf, std::int64_t h, std::int64_t w,
 }  // namespace
 
 util::ThreadPool& compute_pool() {
-  static util::ThreadPool pool(
-      std::max(1u, std::thread::hardware_concurrency()));
+  static util::ThreadPool pool(util::allowed_cpu_count());
   return pool;
 }
 
 util::ThreadPool& fast_pool() {
-  static util::ThreadPool pool(
-      std::max(1u, std::thread::hardware_concurrency()),
-      /*pin_workers=*/true);
+  static util::ThreadPool pool(util::allowed_cpu_count(),
+                               /*pin_workers=*/true);
   return pool;
 }
 
@@ -577,10 +552,11 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
 
   for (std::int64_t b = 0; b < is.n; ++b) {
     const float* src = batch_as_f32(in, b, ws, ctx);
-    parallel_chunks(ctx, is.c, [&](int, std::int64_t c0, std::int64_t c1) {
-      im2col_rows(src, c0, c1, is.h, is.w, p.kernel, p.stride, p.pad, oh, ow,
-                  col);
-    });
+    parallel_chunks(ctx, is.c, p.kernel * p.kernel * n_dim,
+                    [&](int, std::int64_t c0, std::int64_t c1) {
+                      im2col_rows(src, c0, c1, is.h, is.w, p.kernel, p.stride,
+                                  p.pad, oh, ow, col);
+                    });
 
     // out[b] = W[outC x k_dim] * col[k_dim x n_dim], split by column
     // range: each chunk owns a disjoint panel of col and of the output.
@@ -590,15 +566,18 @@ void conv2d(const Tensor<T>& in, const LayerParams<T>& params,
     } else {
       cf = ws.out(p.out_channels * n_dim);
     }
-    parallel_chunks(ctx, n_dim, [&](int, std::int64_t j0, std::int64_t j1) {
-      tensor::gemm_f32(p.out_channels, j1 - j0, k_dim, 1.0f, wf, k_dim,
-                       col + j0, n_dim, 0.0f, cf + j0, n_dim);
-    });
+    parallel_chunks(ctx, n_dim, p.out_channels * k_dim,
+                    [&](int, std::int64_t j0, std::int64_t j1) {
+                      tensor::gemm_f32(p.out_channels, j1 - j0, k_dim, 1.0f,
+                                       wf, k_dim, col + j0, n_dim, 0.0f,
+                                       cf + j0, n_dim);
+                    });
 
     // Bias add. FP16 keeps the pre-PR order: round the accumulator to
     // half first, then add the half bias with per-element rounding.
     parallel_chunks(
-        ctx, p.out_channels, [&](int, std::int64_t oc0, std::int64_t oc1) {
+        ctx, p.out_channels, n_dim,
+        [&](int, std::int64_t oc0, std::int64_t oc1) {
           if constexpr (std::is_same_v<T, float>) {
             for (std::int64_t oc = oc0; oc < oc1; ++oc) {
               const float bias = params.b[oc];
@@ -633,7 +612,7 @@ void relu(Tensor<T>& x, const ExecCtx& ctx) {
   const std::int64_t n = x.numel();
   if constexpr (std::is_same_v<T, float>) {
     float* data = x.data();
-    parallel_chunks(ctx, n, [&](int, std::int64_t e0, std::int64_t e1) {
+    parallel_chunks(ctx, n, 1, [&](int, std::int64_t e0, std::int64_t e1) {
       for (std::int64_t i = e0; i < e1; ++i) {
         if (data[i] < 0.0f) data[i] = 0.0f;
       }
@@ -641,7 +620,7 @@ void relu(Tensor<T>& x, const ExecCtx& ctx) {
   } else {
     half* data = x.data();
     const float* table = ncsw::fp16::half_to_float_table();
-    parallel_chunks(ctx, n, [&](int, std::int64_t e0, std::int64_t e1) {
+    parallel_chunks(ctx, n, 1, [&](int, std::int64_t e0, std::int64_t e1) {
       for (std::int64_t i = e0; i < e1; ++i) {
         if (table[data[i].bits()] < 0.0f) data[i] = half{};
       }
@@ -666,7 +645,7 @@ void max_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
   const std::int64_t planes = is.n * is.c;
-  const int chunks = plan_chunks(ctx, planes);
+  const int chunks = plan_chunks(ctx, planes, oh * ow * kernel * kernel);
   // Fast tier: separable vectorized 3x3 path (max_pool3_plane). Values
   // are exactly the scalar kernel's — max has no accumulation order —
   // but the path is gated on ctx.fast anyway so the default tier runs
@@ -769,7 +748,8 @@ void avg_pool(const Tensor<T>& in, const PoolParams& p, Tensor<T>& out,
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
   const std::int64_t planes = is.n * is.c;
-  const int chunks = plan_chunks(ctx, planes);
+  const int chunks = plan_chunks(
+      ctx, planes, global ? is.hw() : oh * ow * kernel * kernel);
   float* scratch = std::is_same_v<T, float>
                        ? nullptr
                        : ws.slabs(chunks, is.hw());
@@ -845,7 +825,7 @@ void lrn(const Tensor<T>& in, const LRNParams& p, Tensor<T>& out,
 
   Workspace local;
   Workspace& ws = ctx.ws ? *ctx.ws : local;
-  const int chunks = plan_chunks(ctx, is.c);
+  const int chunks = plan_chunks(ctx, is.c, hw * (p.local_size + 1));
   // Per-task scratch: a sum-of-squares plane plus (FP16 only) an FP32
   // result plane rounded in one span per channel.
   const std::int64_t per_task = std::is_same_v<T, float> ? hw : 2 * hw;
@@ -1085,7 +1065,8 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
       // FP16 rounding epilogue remains.
       const std::int64_t blocks = (p.out_channels + 3) / 4;
       parallel_chunks(
-          ctx, blocks, [&](int, std::int64_t blk0, std::int64_t blk1) {
+          ctx, blocks, 4 * k_dim * n_dim,
+          [&](int, std::int64_t blk0, std::int64_t blk1) {
             for (std::int64_t blk = blk0; blk < blk1; ++blk) {
               const std::int64_t oc0 = blk * 4;
               const std::int64_t nr =
@@ -1106,7 +1087,7 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
           });
       if constexpr (!std::is_same_v<T, float>) {
         parallel_chunks(
-            ctx, p.out_channels,
+            ctx, p.out_channels, n_dim,
             [&](int, std::int64_t oc0, std::int64_t oc1) {
               ncsw::fp16::float_to_half_span_fast(
                   cf + oc0 * n_dim, out.batch_ptr(b) + oc0 * n_dim,
@@ -1121,22 +1102,25 @@ void conv2d_fast(const Tensor<T>& in, const LayerParams<T>& params,
         bmat = src;
       } else {
         float* col = ws.col(k_dim * n_dim);
-        parallel_chunks(ctx, is.c,
+        parallel_chunks(ctx, is.c, p.kernel * p.kernel * n_dim,
                         [&](int, std::int64_t c0, std::int64_t c1) {
                           im2col_rows(src, c0, c1, is.h, is.w, p.kernel,
                                       p.stride, p.pad, oh, ow, col);
                         });
         bmat = col;
       }
-      parallel_chunks(ctx, n_dim, [&](int, std::int64_t j0, std::int64_t j1) {
-        tensor::gemm_f32_fast(p.out_channels, j1 - j0, k_dim, wf, k_dim,
-                              bmat + j0, n_dim, cf + j0, n_dim);
-      });
+      parallel_chunks(ctx, n_dim, p.out_channels * k_dim,
+                      [&](int, std::int64_t j0, std::int64_t j1) {
+                        tensor::gemm_f32_fast(p.out_channels, j1 - j0, k_dim,
+                                              wf, k_dim, bmat + j0, n_dim,
+                                              cf + j0, n_dim);
+                      });
       // Fused epilogue: bias and ReLU in one FP32 pass, then (FP16 only)
       // one round per element — the conv -> round -> relu -> round
       // round-trip of the unfused path collapses to a single write-back.
       parallel_chunks(
-          ctx, p.out_channels, [&](int, std::int64_t oc0, std::int64_t oc1) {
+          ctx, p.out_channels, n_dim,
+          [&](int, std::int64_t oc0, std::int64_t oc1) {
             for (std::int64_t oc = oc0; oc < oc1; ++oc) {
               const float bias = bf[oc];
               float* row = cf + oc * n_dim;
@@ -1189,7 +1173,8 @@ void fully_connected_fast(const Tensor<T>& in, const LayerParams<T>& params,
     std::int32_t* acc = ws.ibuf(p.out_features);
     T* dst = out.batch_ptr(b);
     parallel_chunks(
-        ctx, p.out_features, [&](int, std::int64_t f0, std::int64_t f1) {
+        ctx, p.out_features, in_dim,
+        [&](int, std::int64_t f0, std::int64_t f1) {
           tensor::gemv_s8(f1 - f0, in_dim, wq + f0 * in_dim, xq, acc + f0);
           for (std::int64_t f = f0; f < f1; ++f) {
             float v = sx * wscale[f] * static_cast<float>(acc[f]) + bias[f];

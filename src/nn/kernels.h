@@ -10,10 +10,12 @@
 // arithmetic as the serial path — so results are bit-identical across
 // thread counts, and identical to the pre-PR scalar kernels (kept
 // reachable through ExecCtx::reference for A/B benching and the golden
-// tests).
+// tests). A layer is split only into chunks that each carry a fixed
+// minimum of work; smaller layers run on the calling thread.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "nn/graph.h"
@@ -45,10 +47,8 @@ class Workspace {
 
   /// Base of `count` disjoint per-task slices of `per_task` floats each;
   /// task t uses [base + t*per_task, base + (t+1)*per_task). Call before
-  /// fanning out. With the fast tier's stable chunk->worker mapping,
-  /// slice t is only ever touched by (pinned) worker t, so these act as
-  /// per-thread arenas that stay in the producing core's cache across
-  /// layers.
+  /// fanning out: chunk t of a fan-out runs on exactly one thread, so
+  /// slice t is never shared.
   float* slabs(int count, std::int64_t per_task) {
     return grow(slabs_, static_cast<std::int64_t>(count) * per_task);
   }
@@ -95,6 +95,18 @@ class Workspace {
   tensor::GemmScratch gemm_;
 };
 
+/// Minimum work per chunk of a threaded kernel, in the scalar operations
+/// each kernel counts per item it splits (multiply-adds for a GEMM
+/// column, window taps for a pooled plane, elements for an element-wise
+/// pass). A chunk below it costs more to hand to a pool worker than it
+/// saves, so the kernel splits into fewer chunks, or runs on the caller
+/// alone. A fixed constant calibrated from the per-layer t1/tN wall
+/// times of bench/perf_forward (docs/performance.md): with a floor of
+/// 2^16 the functional TinyGoogLeNet's largest convolutions ran slower
+/// threaded, with 2^18 they gained nothing, and at this value all of
+/// its layers run on the calling thread.
+inline constexpr std::int64_t kMinChunkWork = std::int64_t{1} << 20;
+
 /// Per-call execution context the executor threads through the kernels.
 /// The default ({}) is the serial optimised path with a transient
 /// workspace.
@@ -103,14 +115,16 @@ struct ExecCtx {
   Workspace* ws = nullptr;
   /// Pool for the slab fan-out; nullptr (or threads <= 1) runs serial.
   util::ThreadPool* pool = nullptr;
-  /// Number of slabs the parallel kernels split their work into.
+  /// Most slabs a parallel kernel splits its work into (the caller plus
+  /// threads - 1 pool helpers); fewer when a slab would fall below the
+  /// per-chunk work floor.
   int threads = 1;
   /// Route GEMMs and element loops through the pre-PR scalar kernels
   /// (serial, per-layer allocation) — the recorded perf baseline.
   bool reference = false;
   /// Opt-in fast tier (docs/performance.md): fused conv+bias+ReLU,
   /// direct 3x3/1x1 convolution, int8 fully-connected layers, sqrt-based
-  /// LRN and affinity-aware chunk placement. Forfeits bit-identity with
+  /// LRN and a CPU-pinned pool. Forfeits bit-identity with
   /// the reference path (still deterministic across thread counts);
   /// validated by the digest-tolerance tests. Off by default.
   bool fast = false;
@@ -121,13 +135,12 @@ struct ExecCtx {
 };
 
 /// The process-wide pool the kernels fan out on, created on first use
-/// with one worker per hardware thread.
+/// with one worker per allowed CPU (util::allowed_cpu_count()).
 util::ThreadPool& compute_pool();
 
-/// The fast tier's pool: pinned workers with per-worker queues, created
-/// on first use. Chunk t of every fan-out is addressed to worker t, so a
-/// given output slab is always produced (and its inputs re-read) on the
-/// same core.
+/// The fast tier's pool: the same size, with each worker pinned to one
+/// allowed CPU so it does not migrate between cores. Created on first
+/// use.
 util::ThreadPool& fast_pool();
 
 /// 2-D convolution via im2col + GEMM. `out` is resized to the batched

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -11,8 +12,8 @@
 namespace ncsw::util {
 
 namespace {
-// Which pool (if any) owns the current thread. Set once per worker; lets
-// parallel_for detect nested calls from its own workers.
+// Which pool (if any) owns the current thread. Set once per worker; read
+// by on_worker_thread().
 thread_local const ThreadPool* t_current_pool = nullptr;
 
 // CPUs the process is allowed to run on (respects container cpusets and
@@ -32,6 +33,41 @@ std::vector<int> allowed_cpus() {
   return cpus;
 }
 
+// Shared state of one parallel_for. Helpers hold it by shared_ptr, so a
+// helper that starts, or finishes its last index, after the caller has
+// returned still touches live memory. `fn` is only called for an index
+// claimed while indices were left, and the caller does not return before
+// every claimed index is done, so `fn` outlives each call of it.
+struct Claim {
+  Claim(std::size_t count, const std::function<void(std::size_t)>& f)
+      : n(count), fn(&f) {}
+
+  // Claim and run indices until none are left.
+  void run() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      std::exception_ptr err;
+      try {
+        (*fn)(i);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      std::lock_guard lock(mutex);
+      if (err && !error) error = err;
+      if (++done == n) all_done.notify_all();
+    }
+  }
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;  // guards done and error
+  std::condition_variable all_done;
+  std::size_t done = 0;
+  std::exception_ptr error;
+};
+
 bool pin_to_cpu(std::thread& t, int cpu) {
 #ifdef __linux__
   cpu_set_t set;
@@ -46,12 +82,24 @@ bool pin_to_cpu(std::thread& t, int cpu) {
 }
 }  // namespace
 
+std::size_t allowed_cpu_count() noexcept {
+  std::size_t n = 0;
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    n = static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  if (n == 0) n = std::thread::hardware_concurrency();
+  return std::max<std::size_t>(n, 1);
+}
+
 ThreadPool::ThreadPool(std::size_t threads, bool pin_workers) {
   threads = std::max<std::size_t>(1, threads);
-  worker_queues_.resize(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
   if (pin_workers) {
     const std::vector<int> cpus = allowed_cpus();
@@ -97,28 +145,28 @@ bool ThreadPool::on_worker_thread() const noexcept {
   return t_current_pool == this;
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::enqueue(const std::function<void()>& task,
+                         std::size_t copies) {
+  {
+    std::lock_guard lock(mutex_);
+    if (stopping_) {
+      throw std::runtime_error("ThreadPool: enqueue after shutdown");
+    }
+    for (std::size_t i = 0; i < copies; ++i) queue_.push(task);
+  }
+  for (std::size_t i = 0; i < copies; ++i) cv_.notify_one();
+}
+
+void ThreadPool::worker_loop() {
   t_current_pool = this;
-  auto& own = worker_queues_[index];
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this, &own] {
-        return stopping_ || !queue_.empty() || !own.empty();
-      });
-      // Affinity tasks first: they were addressed to this worker, and
-      // nobody else can run them.
-      if (!own.empty()) {
-        task = std::move(own.front());
-        own.pop();
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop();
-      } else {
-        if (stopping_) return;
-        continue;
-      }
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, and the queue is drained
+      task = std::move(queue_.front());
+      queue_.pop();
     }
     task();
   }
@@ -126,29 +174,17 @@ void ThreadPool::worker_loop(std::size_t index) {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (on_worker_thread()) {
-    // Nested call from one of our own workers: the shard tasks would sit
-    // in the queue behind this caller, which blocks on their futures —
-    // with every worker nesting, nobody is left to run a shard. Run the
-    // whole range inline on this thread instead.
+  const std::size_t helpers = n == 0 ? 0 : std::min(n - 1, size());
+  if (helpers == 0) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::atomic<std::size_t> next{0};
-  const std::size_t shards = std::min(n, size());
-  std::vector<std::future<void>> futs;
-  futs.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    futs.push_back(submit([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i);
-      }
-    }));
-  }
-  for (auto& f : futs) f.get();
+  auto claim = std::make_shared<Claim>(n, fn);
+  enqueue([claim] { claim->run(); }, helpers);
+  claim->run();
+  std::unique_lock lock(claim->mutex);
+  claim->all_done.wait(lock, [&] { return claim->done == claim->n; });
+  if (claim->error) std::rethrow_exception(claim->error);
 }
 
 }  // namespace ncsw::util

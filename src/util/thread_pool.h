@@ -2,13 +2,16 @@
 // (the paper used OpenMP threads for the same purpose); the pool is also
 // used to parallelise dataset generation and functional inference.
 //
-// Affinity mode (the fast host tier, docs/performance.md): a pool built
-// with pin_workers = true pins worker i to the i-th CPU the process is
-// allowed to run on and gives every worker its own FIFO queue reachable
-// through submit_to(i, ...). A caller that always routes chunk t to
-// worker t keeps each output slab on the core that produced its inputs
-// in the previous layer, instead of whichever idle worker grabbed the
-// task first.
+// Fan-out (parallel_for) is work claiming: the caller and up to size()
+// pool helpers take indices from one shared atomic counter, and the
+// caller waits only for indices a helper has already taken. A helper
+// that starts after every index is taken returns without running
+// anything, so a nested call from a worker, or a call into a saturated
+// pool, runs serially on the caller instead of queueing behind it.
+//
+// A pool built with pin_workers = true pins worker i to the i-th CPU the
+// process is allowed to run on (the fast host tier, docs/performance.md),
+// so its workers do not migrate between cores.
 #pragma once
 
 #include <condition_variable>
@@ -24,8 +27,14 @@
 
 namespace ncsw::util {
 
+/// Number of CPUs the process may run on: the sched_getaffinity mask,
+/// which respects container cpusets and taskset masks (unlike
+/// std::thread::hardware_concurrency), falling back to
+/// hardware_concurrency where there is no affinity API. At least 1.
+std::size_t allowed_cpu_count() noexcept;
+
 /// Fixed-size pool of worker threads executing enqueued tasks FIFO.
-/// Destruction drains the queues (all submitted tasks complete).
+/// Destruction drains the queue (all submitted tasks complete).
 class ThreadPool {
  public:
   /// Create `threads` workers (>= 1; 0 is clamped to 1). With
@@ -38,54 +47,15 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task on the shared queue (any worker may run it); returns
-  /// a future for its result.
+  /// Enqueue a task (any worker may run it); returns a future for its
+  /// result.
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> fut = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) {
-        throw std::runtime_error("ThreadPool::submit after shutdown");
-      }
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
-  /// Enqueue a task on worker `worker`'s own queue: it runs on that
-  /// worker (and, when the pool is pinned, on that worker's core), FIFO
-  /// with respect to other tasks submitted to the same worker. Throws
-  /// std::out_of_range when `worker` >= size(): affinity routing is
-  /// explicit addressing, and silently wrapping a bad index onto another
-  /// worker's queue would defeat the placement the caller asked for.
-  template <typename F>
-  auto submit_to(std::size_t worker, F&& f)
-      -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    if (worker >= workers_.size()) {
-      throw std::out_of_range("ThreadPool::submit_to: worker " +
-                              std::to_string(worker) + " out of range (pool " +
-                              std::to_string(workers_.size()) + " workers)");
-    }
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      if (stopping_) {
-        throw std::runtime_error("ThreadPool::submit_to after shutdown");
-      }
-      worker_queues_[worker].emplace([task] { (*task)(); });
-    }
-    // Per-worker wakeup would need one condition variable per worker;
-    // the pools here are small, so a broadcast is cheaper than the
-    // bookkeeping.
-    cv_.notify_all();
+    enqueue([task] { (*task)(); }, 1);
     return fut;
   }
 
@@ -102,18 +72,22 @@ class ThreadPool {
   /// True when the calling thread is one of this pool's workers.
   bool on_worker_thread() const noexcept;
 
-  /// Run `fn(i)` for i in [0, n) across the pool and wait for completion.
-  /// Safe to call from one of the pool's own workers: the shards would
-  /// queue behind the (blocked) caller and deadlock a saturated pool, so
-  /// a nested call runs every index inline on the calling thread instead.
+  /// Run `fn(i)` once for every i in [0, n) and return when all have
+  /// run. The calling thread claims indices itself, alongside up to
+  /// min(n - 1, size()) pool helpers; it then waits only for indices a
+  /// helper already claimed. Safe from the pool's own workers and under
+  /// saturation: unstarted helpers find nothing left and never touch
+  /// `fn`. The first exception thrown by `fn` is rethrown on the caller
+  /// after every claimed index has finished.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  void worker_loop(std::size_t index);
+  /// Push `copies` copies of `task` onto the queue under one lock.
+  void enqueue(const std::function<void()>& task, std::size_t copies);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
-  std::vector<std::queue<std::function<void()>>> worker_queues_;
   std::vector<int> worker_cpus_;  // empty when unpinned
   std::mutex mutex_;
   std::condition_variable cv_;

@@ -249,6 +249,39 @@ TEST(FastTier, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(max_abs_diff_t(a.output, b.output), 0.0);
 }
 
+// A batch of 8 splits into min(8, threads) sub-batches, each a serial
+// pass. The int8 FC quantizes each item's activations on their own, so
+// every split yields the bytes of the single-thread pass.
+template <typename T>
+void fast_batch_split_case(const Graph& g, const Weights<T>& w,
+                           const Tensor<T>& in) {
+  const QuantizedWeights qw = quantize_weights(g, w);
+  ExecOptions t1;
+  t1.threads = 1;
+  t1.fast = true;
+  t1.quant = &qw;
+  const auto a = run_forward(g, w, in, t1);
+  for (int t : {2, 3, 4, 8}) {
+    ExecOptions tn = t1;
+    tn.threads = t;
+    const auto b = run_forward(g, w, in, tn);
+    ASSERT_EQ(a.output.shape(), b.output.shape());
+    EXPECT_EQ(0, std::memcmp(a.output.data(), b.output.data(),
+                             static_cast<std::size_t>(a.output.numel()) *
+                                 sizeof(T)))
+        << "threads=" << t;
+  }
+}
+
+TEST(FastTier, Batch8SplitMatchesSingleThreadBothPrecisions) {
+  const Graph g = small_graph();
+  const WeightsF w = init_msra(g, 73);
+  const TensorF in = random_tensor(Shape{8, 3, 16, 16}, 74);
+  fast_batch_split_case<float>(g, w, in);
+  fast_batch_split_case<half>(g, to_fp16(w),
+                              ncsw::tensor::tensor_cast<half>(in));
+}
+
 TEST(FastTier, OffByDefaultIsBitIdenticalToDefaultPath) {
   const Graph g = small_graph();
   const WeightsF w = init_msra(g, 81);

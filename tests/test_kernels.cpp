@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <future>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "nn/executor.h"
 #include "util/rng.h"
 
 namespace {
@@ -492,6 +498,182 @@ void fc_bit_identity_case(std::uint64_t seed) {
 TEST(KernelBitIdentity, FullyConnectedAllConfigsBothPrecisions) {
   fc_bit_identity_case<float>(5000);
   fc_bit_identity_case<half>(5000);
+}
+
+// --- above the work floor: the chunked paths -------------------------------
+//
+// The cases above carry far less than kernels::kMinChunkWork, so they run
+// as one chunk at any thread count. These shapes give each kernel enough
+// work to split into several chunks, so the claimed-chunk paths are
+// compared with the reference kernels byte for byte too.
+
+template <typename T, typename Op>
+void expect_chunked_bitwise_equal(const Op& op, std::int64_t work,
+                                  const char* what) {
+  ASSERT_GE(work, 2 * kernels::kMinChunkWork) << what << ": too small to split";
+  Tensor<T> ref;
+  op(ref, reference_ctx());
+  for (int t : {2, 3, 4}) {
+    Tensor<T> out;
+    kernels::Workspace ws;
+    op(out, threaded_ctx(ws, t));
+    expect_bytes_equal(out, ref,
+                       (std::string(what) + " threads=" + std::to_string(t))
+                           .c_str());
+  }
+}
+
+template <typename T>
+void chunked_case() {
+  // Convolution: the GEMM splits by output column.
+  const ConvCase c{8, 64, 64, 32, 3, 1, 1, 1};
+  const Tensor<T> conv_in = ncsw::tensor::tensor_cast<T>(
+      random_tensor(Shape{c.batch, c.in_c, c.h, c.w}, 6000));
+  LayerParams<T> cp;
+  cp.w = ncsw::tensor::tensor_cast<T>(
+      random_tensor(Shape{c.out_c, c.in_c, c.kernel, c.kernel}, 6001));
+  cp.b = ncsw::tensor::tensor_cast<T>(
+      random_tensor(Shape{1, c.out_c, 1, 1}, 6002));
+  const ConvParams conv{c.out_c, c.kernel, c.stride, c.pad};
+  expect_chunked_bitwise_equal<T>(
+      [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
+        kernels::conv2d(conv_in, cp, conv, out, ctx);
+      },
+      std::int64_t{c.out_c} * c.in_c * 9 * c.h * c.w, "conv2d");
+
+  // ReLU: element ranges.
+  const Tensor<T> relu_in = ncsw::tensor::tensor_cast<T>(
+      random_tensor(Shape{2, 16, 256, 256}, 6003));
+  expect_chunked_bitwise_equal<T>(
+      [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
+        out = relu_in;
+        kernels::relu(out, ctx);
+      },
+      relu_in.numel(), "relu");
+
+  // Pools: (batch, channel) planes.
+  const Tensor<T> pool_in = ncsw::tensor::tensor_cast<T>(
+      random_tensor(Shape{2, 16, 128, 128}, 6004));
+  const PoolParams pp{3, 1, 1, true, false};
+  expect_chunked_bitwise_equal<T>(
+      [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
+        kernels::max_pool(pool_in, pp, out, ctx);
+      },
+      pool_in.numel() * 9, "max_pool");
+  expect_chunked_bitwise_equal<T>(
+      [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
+        kernels::avg_pool(pool_in, pp, out, ctx);
+      },
+      pool_in.numel() * 9, "avg_pool");
+
+  // LRN: channels.
+  const Tensor<T> lrn_in = ncsw::tensor::tensor_cast<T>(
+      random_tensor(Shape{1, 64, 128, 128}, 6005));
+  const LRNParams lp{5, 1e-4f, 0.75f, 2.0f};
+  expect_chunked_bitwise_equal<T>(
+      [&](Tensor<T>& out, const kernels::ExecCtx& ctx) {
+        kernels::lrn(lrn_in, lp, out, ctx);
+      },
+      lrn_in.numel() * (lp.local_size + 1), "lrn");
+}
+
+TEST(KernelBitIdentity, ChunkedAboveWorkFloorBothPrecisions) {
+  chunked_case<float>();
+  chunked_case<half>();
+}
+
+// --- nested and concurrent fan-out ------------------------------------------
+//
+// A network whose first convolution is above the work floor, so a
+// threaded pass fans out both across its batch and inside that layer.
+Graph chunky_net() {
+  Graph g("chunky");
+  const int in = g.add_input("data", 8, 64, 64);
+  const int c1 = g.add_conv("conv1", in, ConvParams{32, 3, 1, 1});
+  const int r1 = g.add_relu("relu1", c1);
+  const int p1 = g.add_max_pool("pool1", r1, PoolParams{2, 2, 0, true, false});
+  const int c2 = g.add_conv("conv2", p1, ConvParams{16, 1, 1, 0});
+  PoolParams gp;
+  gp.global = true;
+  const int gap = g.add_avg_pool("gap", c2, gp);
+  const int fc = g.add_fc("fc", gap, FCParams{10});
+  g.add_softmax("prob", fc);
+  return g;
+}
+
+struct NestedFixture {
+  Graph g = chunky_net();
+  WeightsF w = init_msra(g, 77);
+  TensorF one = random_tensor(Shape{1, 8, 64, 64}, 7000);
+  TensorF batch = random_tensor(Shape{3, 8, 64, 64}, 7001);
+  TensorF want_one, want_batch;
+
+  explicit NestedFixture(bool fast) : fast_(fast) {
+    const ExecOptions serial = options(1);
+    want_one = run_forward(g, w, one, serial).output;
+    want_batch = run_forward(g, w, batch, serial).output;
+  }
+
+  ExecOptions options(int threads) const {
+    ExecOptions o;
+    o.threads = threads;
+    o.fast = fast_;
+    return o;
+  }
+
+  // Both passes at 4 threads; true when their bytes equal the serial run.
+  bool threaded_matches() const {
+    const ExecOptions o = options(4);
+    return same_bytes(run_forward(g, w, one, o).output, want_one) &&
+           same_bytes(run_forward(g, w, batch, o).output, want_batch);
+  }
+
+  static bool same_bytes(const TensorF& a, const TensorF& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+               0;
+  }
+
+ private:
+  bool fast_;
+};
+
+// Every compute_pool() worker runs a threaded forward pass whose own
+// fan-out lands on the same (saturated) pool. Each call must finish on
+// its caller instead of waiting for a queued helper.
+TEST(NestedFanOut, ThreadedPassesOnEveryPoolWorkerFinish) {
+  for (bool fast : {false, true}) {
+    const NestedFixture fx(fast);
+    auto& pool = kernels::compute_pool();
+    std::vector<std::future<bool>> futs;
+    for (std::size_t i = 0; i < pool.size() + 2; ++i) {
+      futs.push_back(pool.submit([&fx] { return fx.threaded_matches(); }));
+    }
+    for (auto& f : futs) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(60)),
+                std::future_status::ready)
+          << "nested fan-out deadlocked (fast=" << fast << ")";
+      EXPECT_TRUE(f.get()) << "fast=" << fast;
+    }
+  }
+}
+
+// Eight caller threads fan out at once onto one pool, the shape of
+// VpuTarget::classify's per-stick host threads.
+TEST(NestedFanOut, ConcurrentCallersMatchSerial) {
+  for (bool fast : {false, true}) {
+    const NestedFixture fx(fast);
+    std::vector<char> ok(8, 0);
+    std::vector<std::thread> callers;
+    for (std::size_t i = 0; i < ok.size(); ++i) {
+      callers.emplace_back([&fx, &ok, i] { ok[i] = fx.threaded_matches(); });
+    }
+    for (auto& t : callers) t.join();
+    for (std::size_t i = 0; i < ok.size(); ++i) {
+      EXPECT_TRUE(ok[i]) << "caller " << i << " fast=" << fast;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -136,50 +137,57 @@ TEST(ThreadPool, TasksRunConcurrentlyAcrossWorkers) {
   EXPECT_LE(max_in_flight.load(), 2);
 }
 
-// --- affinity mode (the fast host tier) ------------------------------------
+// --- work claiming -----------------------------------------------------------
 
-TEST(ThreadPool, SubmitToRoutesToTheAddressedWorker) {
+TEST(ThreadPool, ParallelForCallerClaimsIndicesToo) {
+  ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  pool.parallel_for(16, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  EXPECT_GT(on_caller.load(), 0);
+}
+
+// A saturated pool degrades to serial on the caller: parallel_for must
+// not wait for a helper that has not started. The helper it queued runs
+// after the call has returned and the callable is gone, and must find
+// nothing left to claim (ASan would flag a touch of the dead callable).
+TEST(ThreadPool, ParallelForIntoSaturatedPoolRunsOnCaller) {
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  auto blocker = pool.submit([gate] { gate.wait(); });
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> ran(8, 0);
+  {
+    std::vector<std::thread::id> who(8);
+    pool.parallel_for(8, [&, big = std::vector<int>(64, 1)](std::size_t i) {
+      ran[i] += big[i];
+      who[i] = std::this_thread::get_id();
+    });
+    for (const auto& id : who) EXPECT_EQ(id, caller);
+  }
+  release.set_value();
+  blocker.get();
+  pool.submit([] {}).get();  // FIFO: the stale helper has run by now
+  for (int r : ran) EXPECT_EQ(r, 1);
+}
+
+TEST(ThreadPool, ParallelForRethrowsAfterEveryIndexRan) {
   ThreadPool pool(3);
-  // Every task addressed to worker i must run on one fixed thread per i.
-  std::vector<std::thread::id> first(3);
-  for (std::size_t w = 0; w < 3; ++w) {
-    first[w] =
-        pool.submit_to(w, [] { return std::this_thread::get_id(); }).get();
-  }
-  EXPECT_NE(first[0], first[1]);
-  EXPECT_NE(first[1], first[2]);
-  for (int round = 0; round < 4; ++round) {
-    for (std::size_t w = 0; w < 3; ++w) {
-      EXPECT_EQ(
-          pool.submit_to(w, [] { return std::this_thread::get_id(); }).get(),
-          first[w])
-          << "worker " << w << " round " << round;
-    }
-  }
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_for(12,
+                                 [&](std::size_t i) {
+                                   if (i == 5) throw std::runtime_error("boom");
+                                   ran.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 11);
 }
 
-TEST(ThreadPool, SubmitToIsFifoPerWorker) {
-  ThreadPool pool(2);
-  std::vector<int> order;
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 50; ++i) {
-    // All on worker 0: single consumer, so no lock is needed in the task.
-    futs.push_back(pool.submit_to(0, [&order, i] { order.push_back(i); }));
-  }
-  for (auto& f : futs) f.get();
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ThreadPool, SubmitToOutOfRangeWorkerThrows) {
-  ThreadPool pool(2);
-  // Affinity routing is explicit addressing: an index past the pool is a
-  // caller bug, not a request to wrap onto some other worker's queue.
-  EXPECT_THROW(pool.submit_to(2, [] { return 1; }), std::out_of_range);
-  EXPECT_THROW(pool.submit_to(1000, [] { return 1; }), std::out_of_range);
-  // In-range submissions still work after the rejected ones.
-  EXPECT_EQ(pool.submit_to(1, [] { return 7; }).get(), 7);
-}
+// --- pinned workers (the fast host tier) -------------------------------------
 
 TEST(ThreadPool, UnpinnedPoolReportsNoLayout) {
   ThreadPool pool(2);
@@ -199,7 +207,7 @@ TEST(ThreadPool, PinnedPoolReportsOneCpuPerWorker) {
   EXPECT_EQ(std::count(layout.begin(), layout.end(), ','), 1)
       << "layout: " << layout;
   // Workers still execute tasks when pinned.
-  EXPECT_EQ(pool.submit_to(1, [] { return 7; }).get(), 7);
+  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
 }  // namespace

@@ -5,10 +5,17 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <string>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "nn/executor.h"
 #include "nn/kernels.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -161,6 +168,24 @@ TEST(ResolveThreads, BadEnvFallsBackToHardware) {
   EXPECT_GE(resolve_threads(0), 1);
 }
 
+// With $NCSW_THREADS unset, the default and both kernel pools follow the
+// CPUs the process may run on (its affinity mask), not the machine's
+// hardware thread count.
+TEST(ResolveThreads, AutoCountsAllowedCpus) {
+  unsetenv("NCSW_THREADS");
+  const auto allowed = ncsw::util::allowed_cpu_count();
+  EXPECT_GE(allowed, 1u);
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(allowed, static_cast<std::size_t>(CPU_COUNT(&set)));
+#endif
+  EXPECT_EQ(resolve_threads(0), static_cast<int>(allowed));
+  EXPECT_EQ(kernels::compute_pool().size(), allowed);
+  EXPECT_EQ(kernels::fast_pool().size(), allowed);
+}
+
 // --- golden: run_forward bit-identical across configurations --------------
 
 template <typename T>
@@ -172,6 +197,8 @@ void golden_run_forward_case(const Graph& g, const Weights<T>& w,
   ExecOptions serial;
   serial.threads = 1;
   serial.keep_all_activations = true;
+  // keep_all_activations keeps the batch whole (no image-level split),
+  // so the threaded pass here runs the kernels' own fan-out.
   ExecOptions threaded;
   threaded.threads = 4;
   threaded.keep_all_activations = true;
@@ -207,20 +234,35 @@ TEST(GoldenForward, Fp16BitIdenticalAcrossConfigs) {
   golden_run_forward_case<half>(g, w, in);
 }
 
-TEST(GoldenForward, ThreadsKnobDoesNotChangeOutput) {
-  const Graph g = tiny_net();
-  const WeightsF w = init_msra(g, 9);
-  const TensorF in = random_tensor(Shape{2, 3, 16, 16}, 10);
+template <typename T>
+void threads_knob_case(const Graph& g, const Weights<T>& w,
+                       const Tensor<T>& in, std::initializer_list<int> counts) {
   ExecOptions base;
   base.threads = 1;
   const auto r1 = run_forward(g, w, in, base);
-  for (int t : {2, 3, 8}) {
+  for (int t : counts) {
     ExecOptions o;
     o.threads = t;
     const auto rt = run_forward(g, w, in, o);
     expect_bytes_equal(rt.output, r1.output,
-                       ("threads=" + std::to_string(t)).c_str());
+                       ("batch=" + std::to_string(in.shape().n) +
+                        " threads=" + std::to_string(t))
+                           .c_str());
   }
+}
+
+TEST(GoldenForward, ThreadsKnobDoesNotChangeOutput) {
+  const Graph g = tiny_net();
+  const WeightsF w = init_msra(g, 9);
+  threads_knob_case<float>(g, w, random_tensor(Shape{2, 3, 16, 16}, 10),
+                           {2, 3, 8});
+  // Batch 8 splits into min(8, threads) sub-batches of serial passes:
+  // uneven (3 threads), one image each (8) and the whole batch (1).
+  const TensorF batch8 = random_tensor(Shape{8, 3, 16, 16}, 13);
+  threads_knob_case<float>(g, w, batch8, {1, 2, 3, 4, 8});
+  threads_knob_case<half>(g, to_fp16(w),
+                          ncsw::tensor::tensor_cast<half>(batch8),
+                          {1, 2, 3, 4, 8});
 }
 
 TEST(GoldenForward, ProfileLayersRecordsPerLayerTimes) {
