@@ -36,9 +36,6 @@ Target::BatchExec StickTarget::execute_batch(std::int64_t images, int batch,
   if (!graph_ || resident_ < 0) {
     throw std::logic_error("StickTarget: no resident graph");
   }
-  const auto& bundle = *fleet_->model(resident_).bundle;
-  std::vector<std::uint8_t> input(
-      static_cast<std::size_t>(bundle.compiled_f16.input_bytes()), 0);
   mvnc::set_inter_op_gap(graph_, fleet_->config().single_gap_s);
 
   // Device-epoch span: the cursor carries boot + allocation history, so
@@ -49,10 +46,8 @@ Target::BatchExec StickTarget::execute_batch(std::int64_t images, int batch,
   run.images = images;
   double last = t0;
   for (std::int64_t i = 0; i < images; ++i) {
-    if (mvnc::mvncLoadTensor(graph_, input.data(),
-                             static_cast<unsigned int>(input.size()),
-                             nullptr) != mvnc::MVNC_OK) {
-      throw std::runtime_error("StickTarget: mvncLoadTensor failed");
+    if (mvnc::load_tensor_timed(graph_, nullptr) != mvnc::MVNC_OK) {
+      throw std::runtime_error("StickTarget: load_tensor_timed failed");
     }
     void* out = nullptr;
     unsigned int out_len = 0;

@@ -131,8 +131,6 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
   for (int d = 0; d < active; ++d) {
     t0 = std::max(t0, mvnc::host_time(graph_handles_[d]).value_or(0.0));
   }
-  std::vector<std::uint8_t> input(
-      static_cast<std::size_t>(bundle_->compiled_f16.input_bytes()), 0);
 
   TimedRun run;
   run.images = images;
@@ -275,9 +273,7 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
   // false = the stick dropped out and the image must be replayed.
   auto attempt_image = [&](std::size_t d) -> bool {
     for (;;) {  // LoadTensor with bounded retry
-      const auto st = mvnc::mvncLoadTensor(
-          graph_handles_[d], input.data(),
-          static_cast<unsigned int>(input.size()), nullptr);
+      const auto st = mvnc::load_tensor_timed(graph_handles_[d], nullptr);
       if (st == mvnc::MVNC_OK) break;
       if (st == mvnc::MVNC_GONE) {
         on_gone(d);
@@ -305,7 +301,7 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
         if (!transient_retry(d, "usb_errors")) return false;
         continue;
       }
-      throw std::runtime_error("run_timed: mvncLoadTensor failed");
+      throw std::runtime_error("run_timed: load_tensor_timed failed");
     }
     for (;;) {  // GetResult with bounded retry
       void* out = nullptr;

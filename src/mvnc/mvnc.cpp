@@ -429,14 +429,23 @@ mvncStatus mvncDeallocateGraph(void* graphHandle) {
   return MVNC_OK;
 }
 
-mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
-                          unsigned int inputTensorLength, void* userParam) {
+namespace {
+
+/// The one enqueue body behind mvncLoadTensor and load_tensor_timed: the
+/// handle lookup, the dead and stale checks, the inference queued on the
+/// stick with its faults mapped to BUSY/ERROR/GONE, the call counter, the
+/// LoadTensor span and the verifier's on_load. `payload` is null for a
+/// timed load, which queues no output, so its GetResult returns zeros.
+/// Otherwise the payload's length is checked and the attached functional
+/// network runs on it.
+mvncStatus enqueue(void* graphHandle, const void* payload,
+                   unsigned int payloadLength, void* userParam) {
   std::shared_ptr<GraphState> g;
   {
     std::lock_guard lock(g_mutex);
     g = as_graph(graphHandle);
   }
-  if (!g || !inputTensor) {
+  if (!g) {
     check::verifier().on_load(graphHandle, MVNC_INVALID_PARAMETERS, 0.0);
     return MVNC_INVALID_PARAMETERS;
   }
@@ -450,7 +459,7 @@ mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
   }
   const auto expected =
       static_cast<unsigned int>(g->compiled().input_bytes());
-  if (inputTensorLength != expected) return MVNC_INVALID_PARAMETERS;
+  if (payload && payloadLength != expected) return MVNC_INVALID_PARAMETERS;
   if (g->dev->device->is_open() && !g->dev->device->has_graph()) {
     // The firmware rebooted (detach + hot replug) and lost the graph;
     // the handle is stale and must be re-allocated. While the stick is
@@ -498,12 +507,12 @@ mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
 
   GraphState::Pending pending;
   pending.user = userParam;
-  if (g->func_graph && g->func_weights) {
+  if (payload && g->func_graph && g->func_weights) {
     // Execute the functional FP16 network on the payload.
     const auto in_shape =
         g->func_graph->layer(g->func_graph->input_id()).out_shape;
     tensor::TensorH input(in_shape);
-    std::memcpy(input.data(), inputTensor, inputTensorLength);
+    std::memcpy(input.data(), payload, payloadLength);
     auto result = nn::run_forward(*g->func_graph, *g->func_weights, input);
     pending.output.emplace(result.output.data(),
                            result.output.data() + result.output.numel());
@@ -511,6 +520,21 @@ mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
   g->pending.push_back(std::move(pending));
   check::verifier().on_load(graphHandle, MVNC_OK, g->host_clock);
   return MVNC_OK;
+}
+
+}  // namespace
+
+mvncStatus load_tensor_timed(void* graphHandle, void* userParam) {
+  return enqueue(graphHandle, nullptr, 0, userParam);
+}
+
+mvncStatus mvncLoadTensor(void* graphHandle, const void* inputTensor,
+                          unsigned int inputTensorLength, void* userParam) {
+  if (!inputTensor) {
+    check::verifier().on_load(graphHandle, MVNC_INVALID_PARAMETERS, 0.0);
+    return MVNC_INVALID_PARAMETERS;
+  }
+  return enqueue(graphHandle, inputTensor, inputTensorLength, userParam);
 }
 
 mvncStatus mvncGetResult(void* graphHandle, void** outputData,

@@ -65,14 +65,24 @@ int host_device_count();
 /// the host is not configured).
 ncs::UsbTopology& host_topology();
 
-/// Attach a functional network to a graph handle: subsequent LoadTensor
-/// calls will actually run `graph` with `weights` on the FP16 payload and
-/// GetResult returns real class probabilities. Both pointers must outlive
-/// the graph handle. Pass nullptrs to detach. Returns false on a bad
-/// handle or when the functional graph's input size does not match the
-/// compiled graph.
+/// Attach a functional network to a graph handle: subsequent
+/// payload-carrying mvncLoadTensor calls will actually run `graph` with
+/// `weights` on the FP16 payload and GetResult returns real class
+/// probabilities (load_tensor_timed never runs it). Both pointers must
+/// outlive the graph handle. Pass nullptrs to detach. Returns false on a
+/// bad handle or when the functional graph's input size does not match
+/// the compiled graph.
 bool set_functional_network(void* graphHandle, const nn::Graph* graph,
                             const nn::WeightsH* weights);
+
+/// mvncLoadTensor without a payload, for callers that measure timing
+/// only: the inference is queued and the stick's timeline advances
+/// exactly as for mvncLoadTensor (same BUSY/ERROR/GONE results, call
+/// counter, LoadTensor trace span and verifier checks), but no input is
+/// read and no functional network runs, so the matching mvncGetResult
+/// returns zeros. Returns MVNC_INVALID_PARAMETERS on a bad or stale
+/// handle.
+mvncStatus load_tensor_timed(void* graphHandle, void* userParam);
 
 /// Ticket (simulated timing) of the most recent GetResult on the handle.
 std::optional<ncs::InferenceTicket> last_ticket(void* graphHandle);

@@ -3,10 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <thread>
 
 #include "check/protocol.h"
+#include "core/application.h"
+#include "core/model.h"
+#include "core/vpu_target.h"
 #include "nn/googlenet.h"
+#include "util/metrics.h"
+#include "util/trace.h"
 
 namespace {
 
@@ -418,6 +426,254 @@ TEST_F(MvncTest, HostResetInvalidatesEverything) {
   EXPECT_EQ(mvncCloseDevice(dev), MVNC_INVALID_PARAMETERS);
   EXPECT_EQ(mvncDeallocateGraph(graph), MVNC_INVALID_PARAMETERS);
   EXPECT_EQ(host_device_count(), 1);
+}
+
+// ---- payload-free timed loads ----------------------------------------------
+
+/// Everything a timed load must leave exactly as a zero-payload
+/// mvncLoadTensor would: call results, tickets, host cursors, the call
+/// counter, the Chrome trace and the verifier's verdict.
+struct ScriptRun {
+  std::vector<int> statuses;
+  std::vector<std::array<double, 4>> tickets;  // seq, issue, input_done, ready
+  std::vector<double> cursors;
+  std::uint64_t loads = 0;
+  std::string trace;
+  std::uint64_t violations = 0;
+};
+
+std::vector<std::uint8_t> functional_tiny_blob() {
+  static const auto net = ncsw::nn::build_tiny_googlenet({32, 10});
+  static const auto wh = ncsw::nn::to_fp16(ncsw::nn::init_msra(net, 1));
+  static const auto blob = ncsw::graphc::serialize_package(
+      compile(net, Precision::kFP16), &net, &wh);
+  return blob;
+}
+
+/// Rounds of two pipelined loads and their drain on one strict-checked
+/// stick, each round started 10 ms after the last from t = 2 s (after
+/// boot and allocation), until the stick goes or the rounds run out.
+ScriptRun run_script(bool timed, const std::vector<std::uint8_t>& blob,
+                     const ncsw::sim::FaultPlan& faults) {
+  HostConfig cfg;
+  cfg.devices = 1;
+  cfg.faults = faults;
+  cfg.check = ncsw::check::CheckMode::kStrict;
+  host_reset(cfg);
+  auto& tr = ncsw::util::tracer();
+  tr.reset();
+  tr.set_enabled(true);
+  auto& loads = ncsw::util::metrics().counter("mvnc.load_tensor.calls");
+  const std::uint64_t loads_before = loads.value();
+
+  ScriptRun run;
+  void* dev = nullptr;
+  EXPECT_EQ(mvncOpenDevice("/sim/ncs0", &dev), MVNC_OK);
+  void* graph = nullptr;
+  EXPECT_EQ(mvncAllocateGraph(dev, &graph, blob.data(),
+                              static_cast<unsigned int>(blob.size())),
+            MVNC_OK);
+  EXPECT_LT(host_time(graph).value(), 2.0);
+  const std::vector<ncsw::fp16::half> zeros(3 * 32 * 32);
+  auto load = [&] {
+    const mvncStatus st =
+        timed ? load_tensor_timed(graph, nullptr)
+              : mvncLoadTensor(graph, zeros.data(),
+                               static_cast<unsigned int>(zeros.size() * 2),
+                               nullptr);
+    run.statuses.push_back(st);
+    run.cursors.push_back(host_time(graph).value());
+    return st;
+  };
+  bool gone = false;
+  for (int round = 0; round < 40 && !gone; ++round) {
+    set_host_time(graph, 2.0 + 0.01 * round);
+    for (int k = 0; k < 2 && !gone; ++k) gone = load() == MVNC_GONE;
+    for (int left = pending_results(graph); left > 0; --left) {
+      void* out = nullptr;
+      unsigned int len = 0;
+      const mvncStatus st = mvncGetResult(graph, &out, &len, nullptr);
+      run.statuses.push_back(st);
+      run.cursors.push_back(host_time(graph).value());
+      if (st != MVNC_OK) break;
+      const auto t = last_ticket(graph).value();
+      run.tickets.push_back({static_cast<double>(t.seq), t.issue,
+                             t.input_done, t.result_ready});
+    }
+  }
+  run.loads = loads.value() - loads_before;
+  run.trace = tr.to_json();
+  run.violations = ncsw::check::verifier().total();
+  tr.set_enabled(false);
+  tr.reset();
+  return run;
+}
+
+void expect_same_timing(const std::vector<std::uint8_t>& blob) {
+  ncsw::sim::FaultPlan faults;
+  faults.add(0, ncsw::sim::FaultKind::kBusyStorm, 2.05, 0.03);
+  faults.add(0, ncsw::sim::FaultKind::kUsbTransferError, 2.12, 0.03);
+  faults.add(0, ncsw::sim::FaultKind::kDetach, 2.3, 0.2);
+  for (const auto& plan : {ncsw::sim::FaultPlan{}, faults}) {
+    const ScriptRun payload = run_script(false, blob, plan);
+    const ScriptRun timed = run_script(true, blob, plan);
+    EXPECT_EQ(timed.statuses, payload.statuses);
+    EXPECT_EQ(timed.tickets, payload.tickets);
+    EXPECT_EQ(timed.cursors, payload.cursors);
+    EXPECT_EQ(timed.loads, payload.loads);
+    EXPECT_EQ(timed.trace, payload.trace);
+    EXPECT_EQ(timed.violations, 0u);
+    EXPECT_EQ(payload.violations, 0u);
+    if (plan.empty()) {
+      EXPECT_EQ(payload.tickets.size(), 80u);
+    } else {
+      // The script met every fault.
+      for (const mvncStatus st : {MVNC_BUSY, MVNC_ERROR, MVNC_GONE}) {
+        EXPECT_NE(std::find(payload.statuses.begin(), payload.statuses.end(),
+                            st),
+                  payload.statuses.end())
+            << st;
+      }
+    }
+  }
+}
+
+TEST_F(MvncTest, TimedLoadMatchesZeroPayloadLoadOnTimingOnlyGraph) {
+  expect_same_timing(tiny_blob());
+}
+
+TEST_F(MvncTest, TimedLoadMatchesZeroPayloadLoadOnFunctionalGraph) {
+  expect_same_timing(functional_tiny_blob());
+}
+
+TEST_F(MvncTest, TimedLoadRejectsBadAndStaleHandles) {
+  int not_a_handle = 0;
+  EXPECT_EQ(load_tensor_timed(nullptr, nullptr), MVNC_INVALID_PARAMETERS);
+  EXPECT_EQ(load_tensor_timed(&not_a_handle, nullptr),
+            MVNC_INVALID_PARAMETERS);
+  void* dev = open_first();
+  void* graph = allocate(dev);
+  ASSERT_EQ(mvncDeallocateGraph(graph), MVNC_OK);
+  EXPECT_EQ(load_tensor_timed(graph, nullptr), MVNC_INVALID_PARAMETERS);
+  void* other = allocate(dev);
+
+  // A detach + replug reboots the firmware: the old handle is stale.
+  HostConfig cfg;
+  cfg.devices = 1;
+  cfg.faults.add(0, ncsw::sim::FaultKind::kDetach, 2.0, 0.5);
+  cfg.check = ncsw::check::CheckMode::kLog;
+  host_reset(cfg);
+  EXPECT_EQ(load_tensor_timed(other, nullptr), MVNC_INVALID_PARAMETERS);
+  dev = open_first();
+  graph = allocate(dev);
+  set_host_time(graph, 2.1);
+  EXPECT_EQ(load_tensor_timed(graph, nullptr), MVNC_GONE);
+  ASSERT_TRUE(replug_device(dev, 3.0));
+  EXPECT_EQ(load_tensor_timed(graph, nullptr), MVNC_INVALID_PARAMETERS);
+  const auto input = input_tensor();
+  EXPECT_EQ(mvncLoadTensor(graph, input.data(),
+                           static_cast<unsigned int>(input.size() * 2),
+                           nullptr),
+            MVNC_INVALID_PARAMETERS);
+}
+
+TEST_F(MvncTest, TimedAndPayloadLoadsShareTheFifoInOrder) {
+  void* dev = open_first();
+  const auto blob = functional_tiny_blob();
+  void* graph = nullptr;
+  ASSERT_EQ(mvncAllocateGraph(dev, &graph, blob.data(),
+                              static_cast<unsigned int>(blob.size())),
+            MVNC_OK);
+  ASSERT_GE(graph_device(graph)->config().fifo_depth, 2);
+
+  const auto net = ncsw::nn::build_tiny_googlenet({32, 10});
+  const auto wh = ncsw::nn::to_fp16(ncsw::nn::init_msra(net, 1));
+  ncsw::tensor::TensorH input(net.layer(net.input_id()).out_shape);
+  for (std::int64_t i = 0; i < input.numel(); ++i) {
+    input.data()[i] = ncsw::fp16::half(static_cast<float>(i % 17) / 8 - 1);
+  }
+  ncsw::nn::ExecOptions ref;
+  ref.reference_kernels = true;
+  const auto expected = ncsw::nn::run_forward(net, wh, input, ref).output;
+  const auto bytes =
+      static_cast<unsigned int>(input.numel() * sizeof(ncsw::fp16::half));
+
+  int marks[4];
+  auto get = [&](void* want_user, bool want_payload) {
+    void* out = nullptr;
+    unsigned int len = 0;
+    void* user = nullptr;
+    ASSERT_EQ(mvncGetResult(graph, &out, &len, &user), MVNC_OK);
+    EXPECT_EQ(user, want_user);
+    ASSERT_EQ(len, 10u * sizeof(ncsw::fp16::half));
+    const auto* got = static_cast<const std::uint16_t*>(out);
+    for (int c = 0; c < 10; ++c) {
+      const std::uint16_t want =
+          want_payload ? expected.data()[c].bits() : std::uint16_t{0};
+      EXPECT_EQ(got[c], want) << "class " << c;
+    }
+  };
+  // timed, payload / payload, timed: each result is its own entry.
+  ASSERT_EQ(load_tensor_timed(graph, &marks[0]), MVNC_OK);
+  ASSERT_EQ(mvncLoadTensor(graph, input.data(), bytes, &marks[1]), MVNC_OK);
+  get(&marks[0], false);
+  ASSERT_EQ(mvncLoadTensor(graph, input.data(), bytes, &marks[2]), MVNC_OK);
+  get(&marks[1], true);
+  ASSERT_EQ(load_tensor_timed(graph, &marks[3]), MVNC_OK);
+  get(&marks[2], true);
+  get(&marks[3], false);
+  EXPECT_EQ(pending_results(graph), 0);
+}
+
+TEST_F(MvncTest, TimedLoadsBesideConcurrentClassifyWorkers) {
+  // Two sticks classify with real payloads on their own host threads
+  // while two more take timed loads from this test's threads; all four
+  // handles share one parsed graph file. Run under TSan.
+  ncsw::dataset::DatasetConfig dc;
+  dc.num_classes = 6;
+  const ncsw::dataset::SyntheticImageNet data(dc);
+  const auto bundle = ncsw::core::ModelBundle::tiny_functional(data, {32, 6});
+  ncsw::core::VpuTargetConfig cfg;
+  cfg.devices = 4;
+  cfg.check = ncsw::check::CheckMode::kStrict;
+  ncsw::core::VpuTarget vpu(bundle, cfg);
+  ASSERT_EQ(graph_device(vpu.graph_handle(0))->graph(),
+            graph_device(vpu.graph_handle(3))->graph());
+
+  ncsw::core::Preprocessor prep;
+  prep.input_size = 32;
+  prep.means = data.means();
+  const std::vector<ncsw::tensor::TensorF> inputs = {
+      prep(data.sample(0, 0).image), prep(data.sample(1, 1).image)};
+  const auto serial = vpu.classify(inputs);  // sticks 0 and 1
+
+  std::vector<std::thread> timed;
+  std::vector<int> bad_results(2, 0);
+  for (int d = 2; d < 4; ++d) {
+    timed.emplace_back([&, d] {
+      void* graph = vpu.graph_handle(d);
+      for (int i = 0; i < 50; ++i) {
+        void* out = nullptr;
+        unsigned int len = 0;
+        if (load_tensor_timed(graph, nullptr) != MVNC_OK ||
+            mvncGetResult(graph, &out, &len, nullptr) != MVNC_OK ||
+            len != 6 * sizeof(ncsw::fp16::half) ||
+            *static_cast<const std::uint16_t*>(out) != 0) {
+          ++bad_results[static_cast<std::size_t>(d - 2)];
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 5; ++round) {
+    const auto preds = vpu.classify(inputs);
+    ASSERT_EQ(preds.size(), serial.size());
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      EXPECT_EQ(preds[i].probs, serial[i].probs);
+    }
+  }
+  for (auto& t : timed) t.join();
+  EXPECT_EQ(bad_results, std::vector<int>(2, 0));
+  EXPECT_EQ(ncsw::check::verifier().total(), 0u);
 }
 
 }  // namespace
