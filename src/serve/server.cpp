@@ -539,6 +539,12 @@ bool Session::offer(const Request& req, double now, bool force) {
   return true;
 }
 
+void Session::reserve(std::size_t requests) {
+  report_.records.reserve(requests);
+  slot_of_.reserve(requests);
+  slot_claim_s_.reserve(requests);
+}
+
 double Session::next_complete_s() const noexcept {
   // Earliest ticket completion across every in-flight submission.
   // Flights on one target can retire out of dispatch order (a narrow
@@ -740,6 +746,7 @@ ServeReport Server::run(const std::vector<Request>& requests,
   }
 
   Session session(targets_, config_);
+  session.reserve(requests.size());
   std::size_t next_arrival = 0;
   // Fixed order: completions free capacity before drops fire, drops
   // before new arrivals are admitted, arrivals before a flush batches

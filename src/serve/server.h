@@ -253,11 +253,11 @@ class LatencyRollup {
   /// table into any report that carries those fields. Call once.
   template <class Report>
   void seal(Report& r) {
-    r.p50_ms = util::percentile(all_, 50.0);
-    r.p95_ms = util::percentile(all_, 95.0);
-    r.p99_ms = util::percentile(std::move(all_), 99.0);
+    r.p50_ms = util::percentile_in_place(all_, 50.0);
+    r.p95_ms = util::percentile_in_place(all_, 95.0);
+    r.p99_ms = util::percentile_in_place(all_, 99.0);
     for (int c = 0; c < kSloClassCount; ++c) {
-      classes_[c].p99_ms = util::percentile(std::move(by_class_[c]), 99.0);
+      classes_[c].p99_ms = util::percentile_in_place(by_class_[c], 99.0);
     }
     r.classes = classes_;
   }
@@ -335,6 +335,10 @@ class Session {
   /// admission (queue full); `force` bypasses the capacity check for
   /// failover replays that must not bounce.
   bool offer(const Request& req, double now, bool force = false);
+
+  /// Presize the per-request bookkeeping for `requests` offers, so offer()
+  /// never regrows it (a caller that knows its trace length).
+  void reserve(std::size_t requests);
 
   /// Next event times (+inf when that event class is not scheduled).
   double next_complete_s() const noexcept;

@@ -109,9 +109,18 @@ SimTime IntervalResource::reserve(SimTime earliest, SimTime duration) {
     throw std::invalid_argument("IntervalResource::reserve: negative duration");
   }
   if (earliest < floor_) earliest = floor_;
+  // Ends ascend (sorted, non-overlapping), so every live interval before
+  // the first one ending after `earliest` is one the first-fit loop
+  // would skip without moving the cursor: jump straight past them.
+  const auto live = intervals_.begin() + static_cast<std::ptrdiff_t>(head_);
+  std::size_t pos = static_cast<std::size_t>(
+      std::partition_point(live, intervals_.end(),
+                           [earliest](const Interval& iv) {
+                             return iv.end <= earliest;
+                           }) -
+      intervals_.begin());
   // First-fit: find the earliest gap at/after `earliest` wide enough.
   SimTime cursor = earliest;
-  std::size_t pos = 0;
   for (; pos < intervals_.size(); ++pos) {
     const Interval& iv = intervals_[pos];
     if (iv.end <= cursor) continue;          // fully before the cursor
@@ -133,16 +142,22 @@ SimTime IntervalResource::reserve(SimTime earliest, SimTime duration) {
 void IntervalResource::prune() {
   const SimTime cutoff = max_start_ - kPruneWindow;
   if (cutoff <= floor_) return;
-  std::size_t keep = 0;
-  while (keep < intervals_.size() && intervals_[keep].end < cutoff) ++keep;
-  if (keep == 0) return;
-  floor_ = std::max(floor_, intervals_[keep - 1].end);
-  intervals_.erase(intervals_.begin(),
-                   intervals_.begin() + static_cast<std::ptrdiff_t>(keep));
+  const std::size_t first_live = head_;
+  while (head_ < intervals_.size() && intervals_[head_].end < cutoff) ++head_;
+  if (head_ == first_live) return;
+  floor_ = std::max(floor_, intervals_[head_ - 1].end);
+  // Drop the dead prefix only once it outweighs the live suffix, so each
+  // interval is moved O(1) times on average instead of on every prune.
+  if (2 * head_ > intervals_.size()) {
+    intervals_.erase(intervals_.begin(),
+                     intervals_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 void IntervalResource::reset() {
   intervals_.clear();
+  head_ = 0;
   busy_ = 0.0;
   count_ = 0;
   floor_ = 0.0;

@@ -6,6 +6,7 @@
 // measurements on the paper's physical testbed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -118,7 +119,9 @@ class IntervalResource {
   explicit IntervalResource(std::string name);
 
   /// Reserve `duration` starting no earlier than `earliest`; returns the
-  /// granted start time.
+  /// granted start time. The intervals' ends ascend, so a binary search
+  /// skips every interval ending at or before `earliest`; the first-fit
+  /// scan starts there, and usually stops within a few intervals.
   SimTime reserve(SimTime earliest, SimTime duration);
 
   SimTime busy_time() const noexcept { return busy_; }
@@ -132,6 +135,9 @@ class IntervalResource {
   /// forgotten: requests can no longer back-fill them. Keeps the interval
   /// list bounded for million-reservation benchmark runs; harmless for
   /// clients whose earliest times progress monotonically (all of ours).
+  /// Forgotten intervals are skipped by advancing a head index; the
+  /// vector drops them only once they are more than half of it, so a
+  /// prune costs amortised O(1) moves.
   static constexpr SimTime kPruneWindow = 5.0;
 
  private:
@@ -143,6 +149,7 @@ class IntervalResource {
 
   std::string name_;
   std::vector<Interval> intervals_;  // sorted by start, non-overlapping
+  std::size_t head_ = 0;  ///< intervals_[0, head_) are pruned (dead)
   SimTime busy_ = 0.0;
   std::uint64_t count_ = 0;
   SimTime floor_ = 0.0;      ///< no reservation may start before this

@@ -56,15 +56,25 @@ Summary summarize(const std::vector<double>& xs) noexcept {
   return s;
 }
 
-double percentile(std::vector<double> xs, double p) noexcept {
+double percentile_in_place(std::vector<double>& xs, double p) noexcept {
   if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
   p = std::clamp(p, 0.0, 100.0);
   const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return xs[lo] + (xs[hi] - xs[lo]) * frac;
+  // Select the lo-th order statistic; everything after it is >= it, so
+  // the (lo+1)-th is the minimum of that part: the two values a full
+  // sort would put at [lo] and [lo+1], found in O(n).
+  const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), nth, xs.end());
+  const double x_lo = *nth;
+  const double x_hi =
+      lo + 1 < xs.size() ? *std::min_element(nth + 1, xs.end()) : x_lo;
+  return x_lo + (x_hi - x_lo) * frac;
+}
+
+double percentile(std::vector<double> xs, double p) noexcept {
+  return percentile_in_place(xs, p);
 }
 
 std::string format_mean_stddev(const RunningStats& s, int precision) {

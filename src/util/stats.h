@@ -59,8 +59,18 @@ struct Summary {
 Summary summarize(const std::vector<double>& xs) noexcept;
 
 /// Exact percentile (linear interpolation between order statistics).
-/// `p` in [0,100]. Returns 0 for an empty sample.
+/// `p` is clamped to [0,100]. Returns 0 for an empty sample. The two
+/// order statistics are selected in O(n) (std::nth_element), not sorted
+/// for: on NaN-free input the result equals interpolating in a sorted
+/// copy, bit for bit apart from the sign of a zero result when the
+/// sample mixes 0.0 and -0.0. NaN is outside the strict weak order the
+/// selection needs; a sample holding one gives an unspecified value.
 double percentile(std::vector<double> xs, double p) noexcept;
+
+/// percentile() without the copy: selects inside `xs` and leaves it
+/// permuted (same multiset), so several percentiles of one buffer cost
+/// no copy each.
+double percentile_in_place(std::vector<double>& xs, double p) noexcept;
 
 /// Format "mean ± stddev" with the given precision, e.g. "77.20 ± 0.31".
 std::string format_mean_stddev(const RunningStats& s, int precision = 2);

@@ -386,6 +386,23 @@ TEST(Server, ClassRollupsPartitionTheSessionTotals) {
   EXPECT_GT(std_class.p99_ms, 0.0);
 }
 
+TEST(Server, RunPresizesRecordsToTheTraceLength) {
+  // Server::run knows the trace length up front: the record log is
+  // allocated once at exactly that size, never regrown by doubling, and
+  // bounced requests (queue_capacity 8 under a 1000-request burst) keep
+  // their records too.
+  FakeTarget t("T", 0.001, 4);
+  ServerConfig cfg;
+  cfg.queue_capacity = 8;
+  Server server({&t}, cfg);
+  for (std::int64_t n : {1, 37, 1000}) {
+    const auto report = server.run(burst_at(0.0, n));
+    EXPECT_EQ(report.records.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(report.records.capacity(), static_cast<std::size_t>(n));
+    EXPECT_EQ(report.offered, n);
+  }
+}
+
 TEST(Server, DefaultQuotasKeepClassBlindAccountingIdentical) {
   // The same trace with and without SloClass stamps must produce the
   // same aggregate outcome: unbounded quotas are class-blind.

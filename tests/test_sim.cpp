@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -230,6 +234,103 @@ TEST(IntervalResource, ManyReservationsStayFast) {
   EXPECT_EQ(r.reservations(), 100'000u);
   EXPECT_NEAR(r.busy_time(), 10.0, 1e-6);
 }
+
+/// The straightforward first-fit the resource must reproduce exactly:
+/// scan every remembered interval from the front on each reservation and
+/// erase the pruned prefix as soon as it falls out of the window.
+class NaiveFirstFit {
+ public:
+  double reserve(double earliest, double duration) {
+    if (earliest < floor_) earliest = floor_;
+    double cursor = earliest;
+    std::size_t pos = 0;
+    for (; pos < ivs_.size(); ++pos) {
+      if (ivs_[pos].second <= cursor) continue;
+      if (cursor + duration <= ivs_[pos].first) break;
+      cursor = std::max(cursor, ivs_[pos].second);
+    }
+    ivs_.insert(ivs_.begin() + static_cast<std::ptrdiff_t>(pos),
+                {cursor, cursor + duration});
+    busy_ += duration;
+    ++count_;
+    max_start_ = std::max(max_start_, cursor);
+    const double cutoff = max_start_ - IntervalResource::kPruneWindow;
+    if (cutoff > floor_) {
+      std::size_t keep = 0;
+      while (keep < ivs_.size() && ivs_[keep].second < cutoff) ++keep;
+      if (keep > 0) {
+        floor_ = std::max(floor_, ivs_[keep - 1].second);
+        ivs_.erase(ivs_.begin(),
+                   ivs_.begin() + static_cast<std::ptrdiff_t>(keep));
+      }
+    }
+    return cursor;
+  }
+  void reset() { *this = NaiveFirstFit{}; }
+  double busy_time() const { return busy_; }
+  std::uint64_t reservations() const { return count_; }
+
+ private:
+  std::vector<std::pair<double, double>> ivs_;
+  double busy_ = 0.0;
+  std::uint64_t count_ = 0;
+  double floor_ = 0.0;
+  double max_start_ = 0.0;
+};
+
+class IntervalResourceDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(IntervalResourceDifferential, MatchesNaiveFirstFitExactly) {
+  ncsw::util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()));
+  IntervalResource fast("diff");
+  NaiveFirstFit naive;
+  double clock = 0.0;  // drifting "now" of the issuing clients
+  double last_earliest = 0.0;
+  constexpr int kSteps = 12'000;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("seed " + std::to_string(GetParam()) + " step " +
+                 std::to_string(step));
+    if (rng.uniform_u64(3000) == 0) {  // reset() mid-sequence
+      fast.reset();
+      naive.reset();
+      clock = 0.0;
+    }
+    const std::uint64_t move = rng.uniform_u64(100);
+    if (move < 1) {
+      clock += rng.uniform(3.0, 8.0);  // gap straddling kPruneWindow
+    } else {
+      clock += rng.uniform(0.0, 2e-3);
+    }
+    double earliest;
+    if (move < 15) {
+      earliest = last_earliest;  // equal earliests
+    } else if (move < 45) {
+      earliest = clock - rng.uniform(0.0, 0.5);  // back-fill below max start
+    } else if (move < 48) {
+      earliest = clock - rng.uniform(4.0, 12.0);  // behind the pruned floor
+    } else {
+      earliest = clock + rng.uniform(0.0, 5e-3);
+    }
+    // A coarse grid makes exact touches (end == start) common.
+    if (rng.uniform_u64(2) == 0) {
+      earliest = std::floor(earliest * 4096.0) / 4096.0;
+    }
+    const double duration =
+        rng.uniform_u64(5) == 0
+            ? 0.0
+            : static_cast<double>(rng.uniform_int(1, 16)) / 4096.0;
+    last_earliest = earliest;
+    const double got = fast.reserve(earliest, duration);
+    const double want = naive.reserve(earliest, duration);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(fast.busy_time(), naive.busy_time());
+    EXPECT_EQ(fast.reservations(), naive.reservations());
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IntervalResourceDifferential,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 TEST(Time, UnitHelpers) {
   EXPECT_DOUBLE_EQ(ncsw::sim::from_ms(2.5), 0.0025);
