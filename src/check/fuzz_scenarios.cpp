@@ -84,7 +84,6 @@ Scenario cluster_scenario(const ScenarioKnobs& knobs) {
     cfg.node.max_batch = 8;
     cfg.node.batch_timeout_s = 0.050;
     cfg.node.inflight_window = 2;
-    cfg.trace_requests = false;
     cfg.node.trace_requests = false;
     const auto trace = make_trace(knobs, 220.0);
     const double span_s = trace.empty() ? 0.0 : trace.back().arrival_s;

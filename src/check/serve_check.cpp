@@ -148,7 +148,7 @@ void ServeVerifier::on_wait_miss(const void* target, const std::string& name,
        t);
 }
 
-void ServeVerifier::on_cancel_miss(const void* target,
+void ServeVerifier::on_cancel_miss(const void* /*target*/,
                                    const std::string& name, std::uint64_t id,
                                    std::uint64_t last_issued, double t) {
   if (!enabled()) return;

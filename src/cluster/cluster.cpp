@@ -107,7 +107,6 @@ Cluster::Cluster(std::vector<std::vector<core::Target*>> node_targets,
   config_.replication = std::max(
       1, std::min(config_.replication,
                   static_cast<int>(node_targets_.size())));
-  config_.node.trace_requests = config_.trace_requests;
 }
 
 ClusterReport Cluster::run(const std::vector<serve::Request>& requests,

@@ -56,7 +56,8 @@ namespace ncsw::cluster {
 /// Cluster policy knobs (the determinism fuzzer's tie-break hook is a
 /// Cluster::run argument, not a knob).
 struct ClusterConfig {
-  /// Per-node frontend policy (queue bound, batcher, dispatcher EWMA).
+  /// Per-node frontend policy (queue bound, batcher, dispatcher EWMA;
+  /// `node.trace_requests` switches the per-request slot spans).
   serve::ServerConfig node;
   /// Nodes each model is resident on (clamped to the node count; a
   /// request only routes inside its model's replica set).
@@ -95,8 +96,6 @@ struct ClusterConfig {
   /// Node-granularity fault plan: device = node id; only kNodeCrash
   /// and kNodeWedge windows apply (other kinds are ignored here).
   sim::FaultPlan faults;
-  /// Emit per-request slot spans inside each node's session.
-  bool trace_requests = true;
 };
 
 /// How one request left the cluster.

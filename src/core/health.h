@@ -61,6 +61,7 @@ class StickHealth {
   StickHealth(int device, const HealthPolicy& policy);
 
   int device() const noexcept { return device_; }
+  const HealthPolicy& policy() const noexcept { return policy_; }
   HealthState state() const noexcept { return state_; }
   /// True when the scheduler may assign images to this stick.
   bool schedulable() const noexcept {

@@ -62,9 +62,8 @@ Target::BatchExec HostTarget::execute_batch(std::int64_t images, int batch,
   // model carries no cross-batch state beyond the jitter stream).
   BatchExec exec;
   exec.run = std::move(run);
-  exec.start_s = std::max(submit_s, next_free_s_);
+  exec.start_s = occupy_serial(submit_s, exec.run.seconds);
   exec.complete_s = exec.start_s + exec.run.seconds;
-  next_free_s_ = exec.complete_s;
   return exec;
 }
 

@@ -50,7 +50,6 @@ class HostTarget : public Target {
   int max_batch_;
   std::uint64_t jitter_seed_;
   std::uint64_t batches_run_ = 0;  // advances the jitter stream
-  double next_free_s_ = 0.0;      // when the serial engine queue drains
   bool fast_ = false;             // fast host tier enabled
   nn::QuantizedWeights quant_;    // fast-tier weights (set_fast, once)
 };

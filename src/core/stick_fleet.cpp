@@ -4,14 +4,15 @@
 #include <stdexcept>
 
 #include "check/serve_check.h"
+#include "core/health.h"
+#include "core/vpu_target.h"
+#include "devices/calibration.h"
 #include "mvnc/mvnc.h"
 #include "myriad/myriad.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
 namespace ncsw::core {
-
-using mvnc::mvncStatus;
 
 // ---------------------------------------------------------------- stick
 
@@ -36,7 +37,7 @@ Target::BatchExec StickTarget::execute_batch(std::int64_t images, int batch,
   if (!graph_ || resident_ < 0) {
     throw std::logic_error("StickTarget: no resident graph");
   }
-  mvnc::set_inter_op_gap(graph_, fleet_->config().single_gap_s);
+  mvnc::set_inter_op_gap(graph_, devices::calibration::kVpuSingleGapS);
 
   // Device-epoch span: the cursor carries boot + allocation history, so
   // only the delta is meaningful — the caller-clock mapping below keeps
@@ -63,9 +64,8 @@ Target::BatchExec StickTarget::execute_batch(std::int64_t images, int batch,
   run.seconds = last - t0;
 
   BatchExec exec;
-  exec.start_s = std::max(submit_s, next_free_s_);
+  exec.start_s = occupy_serial(submit_s, run.seconds);
   exec.complete_s = exec.start_s + run.seconds;
-  next_free_s_ = exec.complete_s;
   exec.run = std::move(run);
   return exec;
 }
@@ -78,27 +78,12 @@ std::vector<Prediction> StickTarget::classify(
   if (!fleet_->model(resident_).bundle->functional()) {
     throw std::logic_error("StickTarget::classify: timing-only bundle");
   }
+  // The fleet is fault-free, so the shared step's transient retry never
+  // fires here; the default policy only gives it a backoff ladder.
+  const StickHealth stick(id_, HealthPolicy{});
   std::vector<Prediction> results(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto half_input = tensor::tensor_cast<ncsw::fp16::half>(inputs[i]);
-    if (mvnc::mvncLoadTensor(
-            graph_, half_input.data(),
-            static_cast<unsigned int>(half_input.numel() *
-                                      sizeof(ncsw::fp16::half)),
-            nullptr) != mvnc::MVNC_OK) {
-      throw std::runtime_error("StickTarget::classify: LoadTensor failed");
-    }
-    void* out = nullptr;
-    unsigned int out_len = 0;
-    if (mvnc::mvncGetResult(graph_, &out, &out_len, nullptr) !=
-        mvnc::MVNC_OK) {
-      throw std::runtime_error("StickTarget::classify: GetResult failed");
-    }
-    const auto* halves = static_cast<const ncsw::fp16::half*>(out);
-    const std::size_t n = out_len / sizeof(ncsw::fp16::half);
-    std::vector<float> probs(n);
-    ncsw::fp16::half_to_float_span(halves, probs.data(), n);
-    results[i] = make_prediction(std::move(probs));
+    results[i] = classify_on_stick(graph_, inputs[i], stick);
   }
   return results;
 }
@@ -124,8 +109,6 @@ StickFleet::~StickFleet() { close_all(); }
 void StickFleet::open_all() {
   mvnc::HostConfig host;
   host.devices = config_.devices;
-  host.topology = config_.topology;
-  host.ncs = config_.ncs;
   host.check = config_.check;
   mvnc::host_reset(host);
   host_generation_ = mvnc::host_generation();
@@ -196,7 +179,7 @@ double StickFleet::swap_to(int d, int m, double now_s) {
   if (m < 0 || m >= models()) {
     throw std::out_of_range("StickFleet::swap_to: bad model index");
   }
-  if (s.resident_ == m) return std::max(now_s, s.next_free_s_);
+  if (s.resident_ == m) return s.occupy_serial(now_s, 0.0);
 
   const std::string from =
       s.resident_ >= 0 ? models_[s.resident_].name : std::string();
@@ -207,14 +190,7 @@ double StickFleet::swap_to(int d, int m, double now_s) {
   // (their tickets were retired or cancelled); retrieving them first
   // keeps the NCAPI verifier's undrained-at-dealloc class quiet on
   // every swap.
-  for (int left = mvnc::pending_results(s.graph_); left > 0; --left) {
-    void* out = nullptr;
-    unsigned int out_len = 0;
-    if (mvnc::mvncGetResult(s.graph_, &out, &out_len, nullptr) !=
-        mvnc::MVNC_OK) {
-      break;
-    }
-  }
+  mvnc::drain_results(s.graph_);
   // Carry the stick's device epoch across the swap: a fresh graph would
   // otherwise chain on the device's allocation cursor, which lags the
   // old graph's exec-advanced clock — the swap would time-travel behind
@@ -233,9 +209,8 @@ double StickFleet::swap_to(int d, int m, double now_s) {
 
   // The swap occupies the stick's serial caller-clock queue for the
   // calibrated cost (the device epoch must not leak into serving time).
-  const double start = std::max(now_s, s.next_free_s_);
+  const double start = s.occupy_serial(now_s, swap_cost_s_[m]);
   const double done = start + swap_cost_s_[m];
-  s.next_free_s_ = done;
 
   util::metrics().counter("core.zoo.swaps").add(1);
   auto& tr = util::tracer();
@@ -262,14 +237,7 @@ void StickFleet::close_all() {
     for (auto& s : sticks_) {
       if (s->graph_) {
         // Same drain-before-deallocate discipline as VpuTarget teardown.
-        for (int left = mvnc::pending_results(s->graph_); left > 0; --left) {
-          void* out = nullptr;
-          unsigned int out_len = 0;
-          if (mvnc::mvncGetResult(s->graph_, &out, &out_len, nullptr) !=
-              mvnc::MVNC_OK) {
-            break;
-          }
-        }
+        mvnc::drain_results(s->graph_);
         mvnc::mvncDeallocateGraph(s->graph_);
         ++evicts_;
       }

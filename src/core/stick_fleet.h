@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/target.h"
-#include "devices/calibration.h"
 #include "mvnc/sim_host.h"
 
 namespace ncsw::core {
@@ -46,14 +45,11 @@ struct ZooModel {
 };
 
 /// Fleet configuration (fault-free: the zoo layer swaps graphs, the
-/// self-healing runner in VpuTarget owns fault injection).
+/// self-healing runner in VpuTarget owns fault injection). The sticks sit
+/// on the paper's testbed topology with calibrated chip parameters, and
+/// each is driven single-threaded (calibration::kVpuSingleGapS).
 struct StickFleetConfig {
   int devices = 2;
-  mvnc::HostConfig::Topology topology =
-      mvnc::HostConfig::Topology::kPaperTestbed;
-  ncs::NcsConfig ncs;  ///< stick/chip parameters (calibrated defaults)
-  /// Host gap between inferences on one stick (single-threaded drive).
-  double single_gap_s = devices::calibration::kVpuSingleGapS;
   /// NCAPI protocol verifier mode forwarded to the host.
   check::CheckMode check = check::CheckMode::kDefault;
 };
@@ -88,9 +84,6 @@ class StickTarget : public Target {
   void* device_ = nullptr;
   void* graph_ = nullptr;
   int resident_ = -1;
-  /// Caller-clock instant the engine frees (serial queue; swaps and
-  /// batches both advance it).
-  double next_free_s_ = 0.0;
 };
 
 /// The fleet: owns the mvnc host, the K sticks, and the M model blobs.

@@ -168,6 +168,12 @@ void Target::retire(std::uint64_t id, TicketState final_state) {
   while (retired_.size() > kRetiredKept) retired_.pop_front();
 }
 
+double Target::occupy_serial(double submit_s, double span_s) {
+  const double start = std::max(submit_s, engine_free_s_);
+  engine_free_s_ = start + span_s;
+  return start;
+}
+
 TimedRun Target::run_timed(std::int64_t images, int batch) {
   // The synchronous call every bench and figure is built on: one aligned
   // submission at the latest completion seen, retrieved immediately.

@@ -187,6 +187,13 @@ class Target {
   virtual BatchExec execute_batch(std::int64_t images, int batch,
                                   double submit_s, bool aligned) = 0;
 
+  /// The serial engine queue every built-in target runs on the caller's
+  /// clock (docs/async-targets.md "Serial engines"): work lasting
+  /// `span_s` submitted at `submit_s` starts when the engine frees, never
+  /// before `submit_s`, and holds the engine until start + `span_s`.
+  /// Returns the start.
+  double occupy_serial(double submit_s, double span_s);
+
  private:
   struct TicketRec {
     TicketInfo info;
@@ -205,6 +212,7 @@ class Target {
   int window_ = 1;
   std::uint64_t next_ticket_ = 1;
   double horizon_s_ = 0.0;  ///< latest completion seen (shim submit time)
+  double engine_free_s_ = 0.0;  ///< when the serial engine queue drains
   std::unordered_map<std::uint64_t, TicketRec> tickets_;  ///< outstanding
   std::deque<std::pair<std::uint64_t, TicketInfo>> retired_;
 };

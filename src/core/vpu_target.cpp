@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "devices/calibration.h"
 #include "mvnc/mvnc.h"
 #include "myriad/myriad.h"
 #include "util/metrics.h"
@@ -73,19 +74,9 @@ void VpuTarget::close_all() {
       // after watchdog timeouts can still hold queued results here (its
       // images were replayed elsewhere), and deallocating over them is
       // the verifier's undrained-at-dealloc class. Lift the watchdog so
-      // the drain itself cannot time out, and consult pending_results —
-      // probing GetResult with nothing outstanding is a violation too.
+      // the drain itself cannot time out.
       mvnc::set_watchdog(g, std::numeric_limits<double>::infinity());
-      int drained = 0;
-      for (int left = mvnc::pending_results(g); left > 0; --left) {
-        void* out = nullptr;
-        unsigned int out_len = 0;
-        if (mvnc::mvncGetResult(g, &out, &out_len, nullptr) !=
-            mvnc::MVNC_OK) {
-          break;  // detached/unplugged stick: its queue died with it
-        }
-        ++drained;
-      }
+      const int drained = mvnc::drain_results(g);
       if (drained > 0) {
         // Cold path only: fault-free teardowns must not materialise
         // health instruments (byte-identity guard in test_faults).
@@ -117,8 +108,9 @@ double VpuTarget::tdp_w(int batch) const {
 
 Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
                                            double submit_s, bool aligned) {
+  namespace cal = devices::calibration;
   const int active = batch;  // the paper couples sticks to batch size
-  const double gap = active > 1 ? config_.thread_gap_s : config_.single_gap_s;
+  const double gap = active > 1 ? cal::kVpuThreadGapS : cal::kVpuSingleGapS;
 
   // Align all active sticks on a common start, staggered by thread
   // spawn — the synchronous runner's barrier, preserved verbatim in
@@ -137,8 +129,8 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
   double last_completion = t0;
   for (int d = 0; d < active; ++d) {
     void* graph = graph_handles_[d];
-    mvnc::set_host_time(graph, t0 + (active > 1 ? d * config_.thread_spawn_s
-                                                : 0.0));
+    mvnc::set_host_time(graph,
+                        t0 + (active > 1 ? d * cal::kVpuThreadSpawnS : 0.0));
     mvnc::set_inter_op_gap(graph, gap);
   }
   // Deterministic replay of the threaded runner: images are issued across
@@ -239,19 +231,12 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
     } else {
       // Transient quarantine: re-admit at the probe time and retire stale
       // queued results left over from before the quarantine (their images
-      // were already replayed elsewhere). Only retrieve what is actually
-      // outstanding — a GetResult with nothing in flight is a protocol
-      // violation.
+      // were already replayed elsewhere).
       mvnc::set_host_time(graph_handles_[d], t);
-      for (int left = mvnc::pending_results(graph_handles_[d]); left > 0;
-           --left) {
-        void* out = nullptr;
-        unsigned int out_len = 0;
-        if (mvnc::mvncGetResult(graph_handles_[d], &out, &out_len,
-                                nullptr) != mvnc::MVNC_OK) {
-          break;
-        }
-        dev_counter(d, "stale_results_drained").add(1);
+      const int drained = mvnc::drain_results(graph_handles_[d]);
+      if (drained > 0) {
+        dev_counter(d, "stale_results_drained")
+            .add(static_cast<std::uint64_t>(drained));
       }
     }
     const double since = h.quarantined_since();
@@ -429,11 +414,49 @@ Target::BatchExec VpuTarget::execute_batch(std::int64_t images, int batch,
   // derived from the span, not read off the cursors: the engine is a
   // serial queue that picks the batch up when it frees.
   BatchExec exec;
-  exec.start_s = std::max(submit_s, next_free_s_);
+  exec.start_s = occupy_serial(submit_s, run.seconds);
   exec.complete_s = exec.start_s + run.seconds;
-  next_free_s_ = exec.complete_s;
   exec.run = std::move(run);
   return exec;
+}
+
+Prediction classify_on_stick(void* graph, const tensor::TensorF& input,
+                             const StickHealth& stick) {
+  // Bounded transient retry (BUSY / ERROR / TIMEOUT): back off on the
+  // stick's own timeline and reissue; any other status fails the image.
+  auto with_retry = [&](auto call) {
+    for (int attempt = 0;; ++attempt) {
+      const mvncStatus st = call();
+      if ((st != mvnc::MVNC_BUSY && st != mvnc::MVNC_ERROR &&
+           st != mvnc::MVNC_TIMEOUT) ||
+          attempt >= stick.policy().max_retries) {
+        return st;
+      }
+      const double now = mvnc::host_time(graph).value_or(0.0);
+      mvnc::set_host_time(graph, now + stick.backoff(attempt));
+    }
+  };
+  // Host-side FP32 -> FP16 conversion (the OpenEXR-half step).
+  const auto half_input = tensor::tensor_cast<ncsw::fp16::half>(input);
+  const auto bytes = static_cast<unsigned int>(half_input.numel() *
+                                               sizeof(ncsw::fp16::half));
+  if (with_retry([&] {
+        return mvnc::mvncLoadTensor(graph, half_input.data(), bytes, nullptr);
+      }) != mvnc::MVNC_OK) {
+    throw std::runtime_error("classify: mvncLoadTensor failed");
+  }
+  void* out = nullptr;
+  unsigned int out_len = 0;
+  if (with_retry([&] {
+        return mvnc::mvncGetResult(graph, &out, &out_len, nullptr);
+      }) != mvnc::MVNC_OK) {
+    throw std::runtime_error("classify: mvncGetResult failed");
+  }
+  const auto* halves = static_cast<const ncsw::fp16::half*>(out);
+  const std::size_t n = out_len / sizeof(ncsw::fp16::half);
+  std::vector<float> probs(n);
+  ncsw::fp16::half_to_float_span(halves, probs.data(), n);
+  return make_prediction(std::move(probs));
 }
 
 std::vector<Prediction> VpuTarget::classify(
@@ -447,81 +470,40 @@ std::vector<Prediction> VpuTarget::classify(
                                              graph_handles_.size()));
   if (active == 0) return results;
 
+  // Stick d classifies images d, d + active, ...; the caller surfaces the
+  // first worker error (e.g. MVNC_GONE).
   auto worker = [&](int d) {
     void* graph = graph_handles_[static_cast<std::size_t>(d)];
-    const StickHealth backoffs(d, config_.health);
-    // Bounded transient retry (BUSY / ERROR / TIMEOUT): back off on the
-    // stick's own timeline and reissue; anything else aborts the batch
-    // (the caller surfaces the first worker error, e.g. MVNC_GONE).
-    auto transient = [&](mvncStatus st, int& attempt) -> bool {
-      if (st != mvnc::MVNC_BUSY && st != mvnc::MVNC_ERROR &&
-          st != mvnc::MVNC_TIMEOUT) {
-        return false;
-      }
-      if (attempt >= config_.health.max_retries) return false;
-      const double now = mvnc::host_time(graph).value_or(0.0);
-      mvnc::set_host_time(graph, now + backoffs.backoff(attempt));
-      ++attempt;
-      return true;
-    };
+    const StickHealth stick(d, config_.health);
     for (std::size_t i = static_cast<std::size_t>(d); i < inputs.size();
          i += static_cast<std::size_t>(active)) {
-      // Host-side FP32 -> FP16 conversion (the OpenEXR-half step).
-      const auto half_input =
-          tensor::tensor_cast<ncsw::fp16::half>(inputs[i]);
-      mvncStatus st;
-      int attempt = 0;
-      for (;;) {
-        st = mvnc::mvncLoadTensor(
-            graph, half_input.data(),
-            static_cast<unsigned int>(half_input.numel() *
-                                      sizeof(ncsw::fp16::half)),
-            nullptr);
-        if (st == mvnc::MVNC_OK || !transient(st, attempt)) break;
-      }
-      if (st != mvnc::MVNC_OK) {
-        throw std::runtime_error("classify: mvncLoadTensor failed");
-      }
-      void* out = nullptr;
-      unsigned int out_len = 0;
-      attempt = 0;
-      for (;;) {
-        st = mvnc::mvncGetResult(graph, &out, &out_len, nullptr);
-        if (st == mvnc::MVNC_OK || !transient(st, attempt)) break;
-      }
-      if (st != mvnc::MVNC_OK) {
-        throw std::runtime_error("classify: mvncGetResult failed");
-      }
-      const auto* halves = static_cast<const ncsw::fp16::half*>(out);
-      const std::size_t n = out_len / sizeof(ncsw::fp16::half);
-      std::vector<float> probs(n);
-      ncsw::fp16::half_to_float_span(halves, probs.data(), n);
-      results[i] = make_prediction(std::move(probs));
+      results[i] = classify_on_stick(graph, inputs[i], stick);
     }
   };
 
-  if (config_.parallel_host_threads && active > 1) {
-    // Worker exceptions must not escape their threads (std::terminate);
-    // capture the first and rethrow on the caller.
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(active));
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    for (int d = 0; d < active; ++d) {
-      threads.emplace_back([&, d] {
-        try {
-          worker(d);
-        } catch (...) {
-          std::lock_guard lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-  } else {
-    for (int d = 0; d < active; ++d) worker(d);
+  if (active == 1) {
+    worker(0);
+    return results;
   }
+  // One host thread per stick (the OpenMP mode of the paper's
+  // framework). Worker exceptions must not escape their threads
+  // (std::terminate); capture the first and rethrow on the caller.
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(active));
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  for (int d = 0; d < active; ++d) {
+    threads.emplace_back([&, d] {
+      try {
+        worker(d);
+      } catch (...) {
+        std::lock_guard lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  if (first_error) std::rethrow_exception(first_error);
   return results;
 }
 

@@ -10,7 +10,6 @@
 
 #include "core/health.h"
 #include "core/target.h"
-#include "devices/calibration.h"
 #include "mvnc/sim_host.h"
 
 namespace ncsw::core {
@@ -31,16 +30,6 @@ struct VpuTargetConfig {
   int degraded_device = -1;
   double degraded_factor = 2.0;
   ncs::NcsConfig ncs;  ///< stick/chip parameters (calibrated defaults)
-  /// Host gap between inferences when a single stick is driven from the
-  /// main thread (batch 1).
-  double single_gap_s = devices::calibration::kVpuSingleGapS;
-  /// Host gap per inference in multi-threaded mode (thread management).
-  double thread_gap_s = devices::calibration::kVpuThreadGapS;
-  /// Stagger between worker-thread start-ups at the beginning of a run.
-  double thread_spawn_s = 40e-6;
-  /// Use real host threads for functional classification (the OpenMP mode
-  /// of the paper's framework). Timing is unaffected.
-  bool parallel_host_threads = true;
   /// Scripted fault windows forwarded to the host (empty: no injection,
   /// fault-free behaviour is byte-identical to a build without them).
   sim::FaultPlan faults;
@@ -57,8 +46,22 @@ struct VpuTargetConfig {
   check::CheckMode check = check::CheckMode::kDefault;
 };
 
+/// One functional FP16 inference on the stick behind `graph`, the step
+/// both stick-driving targets (VpuTarget and the zoo's StickTarget) run
+/// per image: FP32 -> FP16 on the host (the OpenEXR-half step),
+/// mvncLoadTensor + mvncGetResult, FP16 -> FP32 probabilities. Transient
+/// statuses (BUSY / ERROR / TIMEOUT) are retried up to the policy's
+/// max_retries, backing off on the stick's own timeline by
+/// `stick.backoff(attempt)`; anything else throws std::runtime_error.
+Prediction classify_on_stick(void* graph, const tensor::TensorF& input,
+                             const StickHealth& stick);
+
 /// Target driving 1..N simulated Neural Compute Sticks through the mvnc
 /// API. Reconfigures the global mvnc simulation host at construction.
+/// Timing uses the calibrated host gaps (calibration::kVpuSingleGapS for
+/// one stick, kVpuThreadGapS per inference when several are threaded);
+/// classify() runs one host thread per active stick, as the paper's
+/// OpenMP mode does.
 class VpuTarget : public Target {
  public:
   VpuTarget(std::shared_ptr<const ModelBundle> bundle,
@@ -96,10 +99,10 @@ class VpuTarget : public Target {
   /// spawn; pipelined mode (submit) additionally floors t0 at the
   /// submission instant. Aligned mode (the run_timed shim) is
   /// byte-identical to the pre-async run_timed. Completion timestamps
-  /// are mapped onto the caller's clock through a serial engine queue
-  /// (start = max(submit, engine free), complete = start + span): the
-  /// mvnc cursors carry the device-simulation epoch (boot + graph
-  /// allocation), which must not leak into serving timelines.
+  /// are mapped onto the caller's clock through the serial engine queue
+  /// (Target::occupy_serial): the mvnc cursors carry the device-simulation
+  /// epoch (boot + graph allocation), which must not leak into serving
+  /// timelines.
   BatchExec execute_batch(std::int64_t images, int batch, double submit_s,
                           bool aligned) override;
 
@@ -111,8 +114,6 @@ class VpuTarget : public Target {
   VpuTargetConfig config_;
   std::vector<void*> device_handles_;
   std::vector<void*> graph_handles_;
-  /// Caller-clock instant the engine frees (see execute_batch).
-  double next_free_s_ = 0.0;
   /// mvnc host generation our handles belong to. A later host_reset (for
   /// example another VpuTarget's open_all) invalidates every handle, so
   /// close_all must not feed them back into the API.

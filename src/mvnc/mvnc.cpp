@@ -289,6 +289,19 @@ int pending_results(void* graphHandle) {
   return static_cast<int>(g->pending.size());
 }
 
+int drain_results(void* graphHandle) {
+  int drained = 0;
+  for (int left = pending_results(graphHandle); left > 0; --left) {
+    void* out = nullptr;
+    unsigned int out_len = 0;
+    if (mvncGetResult(graphHandle, &out, &out_len, nullptr) != MVNC_OK) {
+      break;
+    }
+    ++drained;
+  }
+  return drained;
+}
+
 // ---------------------------------------------------------------------------
 // mvnc.h — the NCAPI surface
 // ---------------------------------------------------------------------------

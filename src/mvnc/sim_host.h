@@ -133,8 +133,16 @@ ncs::NcsDevice* graph_device(void* graphHandle);
 
 /// Results retrievable on the handle right now: inferences issued with
 /// LoadTensor whose GetResult has not happened yet. -1 on a bad handle.
-/// Drain loops should consult this instead of probing GetResult until it
+/// To drain, call drain_results rather than probing GetResult until it
 /// fails — a GetResult with nothing outstanding is a protocol violation.
 int pending_results(void* graphHandle);
+
+/// Retrieve and discard every queued result on the handle, as the
+/// drain-before-deallocate lifecycle requires: one mvncGetResult per
+/// pending_results entry, stopping at the first non-OK status (a
+/// detached stick's queue died with it). Issues no GetResult when
+/// nothing is pending. Returns the number retrieved; 0 on a bad or stale
+/// handle.
+int drain_results(void* graphHandle);
 
 }  // namespace ncsw::mvnc

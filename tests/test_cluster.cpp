@@ -387,4 +387,35 @@ TEST(Cluster, StrictTraceIsLintClean) {
   EXPECT_GT(lint->spans, 0u);
 }
 
+// `node.trace_requests` is the one switch for per-request slot spans: a
+// traced cluster run with it off draws no "serve slot" lane at all.
+TEST(Cluster, NodeTraceRequestsOffEmitsNoRequestSpans) {
+  auto traced_run = [](bool trace_requests) {
+    auto& tracer = util::tracer();
+    tracer.reset();
+    tracer.set_enabled(true);
+    {
+      FakeNode n0(0, 0.005), n1(1, 0.005), n2(2, 0.005);
+      ClusterConfig cfg;
+      cfg.models = 8;
+      cfg.node.batch_timeout_s = 0.01;
+      cfg.node.trace_requests = trace_requests;
+      Cluster cl({n0.targets(), n1.targets(), n2.targets()}, cfg);
+      EXPECT_EQ(cl.run(poisson_trace(100, 300.0, 21)).completed, 100);
+    }
+    std::string json = tracer.to_json();
+    tracer.set_enabled(false);
+    tracer.reset();
+    return json;
+  };
+  const std::string on = traced_run(true);
+  const std::string off = traced_run(false);
+  EXPECT_NE(on.find("serve slot"), std::string::npos);
+  EXPECT_NE(on.find("serve.req"), std::string::npos);
+  EXPECT_EQ(off.find("serve slot"), std::string::npos);
+  EXPECT_EQ(off.find("serve.req"), std::string::npos);
+  // The rest of the trace is still there.
+  EXPECT_NE(off.find("\"ph\":\"X\""), std::string::npos);
+}
+
 }  // namespace

@@ -676,4 +676,79 @@ TEST_F(MvncTest, TimedLoadsBesideConcurrentClassifyWorkers) {
   EXPECT_EQ(ncsw::check::verifier().total(), 0u);
 }
 
+// ---- drain_results ----------------------------------------------------------
+
+std::uint64_t get_result_calls() {
+  return ncsw::util::metrics().counter("mvnc.get_result.calls").value();
+}
+
+TEST_F(MvncTest, DrainResultsRetrievesExactlyWhatIsPending) {
+  void* dev = open_first();
+  void* graph = allocate(dev);
+  const auto input = input_tensor();
+  const auto bytes = static_cast<unsigned int>(input.size() * 2);
+  ASSERT_EQ(mvncLoadTensor(graph, input.data(), bytes, nullptr), MVNC_OK);
+  ASSERT_EQ(load_tensor_timed(graph, nullptr), MVNC_OK);
+  ASSERT_EQ(pending_results(graph), 2);
+  const std::uint64_t calls0 = get_result_calls();
+  EXPECT_EQ(drain_results(graph), 2);
+  EXPECT_EQ(get_result_calls() - calls0, 2u);
+  EXPECT_EQ(pending_results(graph), 0);
+  // Nothing pending: no GetResult at all, so no unmatched-GetResult
+  // violation either.
+  EXPECT_EQ(drain_results(graph), 0);
+  EXPECT_EQ(get_result_calls() - calls0, 2u);
+  EXPECT_EQ(mvncDeallocateGraph(graph), MVNC_OK);
+  EXPECT_EQ(ncsw::check::verifier().total(), 0u);
+}
+
+TEST_F(MvncTest, DrainResultsStopsAtTheFirstFailureAfterADetach) {
+  const auto input = input_tensor();
+  const auto bytes = static_cast<unsigned int>(input.size() * 2);
+  auto load_two = [&](void* graph) {
+    EXPECT_EQ(mvncLoadTensor(graph, input.data(), bytes, nullptr), MVNC_OK);
+    EXPECT_EQ(mvncLoadTensor(graph, input.data(), bytes, nullptr), MVNC_OK);
+  };
+  // Fault-free dry run: where the host clock stands before the first
+  // GetResult and after it.
+  void* graph = allocate(open_first());
+  load_two(graph);
+  const double before_first = host_time(graph).value();
+  void* out = nullptr;
+  unsigned int len = 0;
+  ASSERT_EQ(mvncGetResult(graph, &out, &len, nullptr), MVNC_OK);
+  const double after_first = host_time(graph).value();
+  ASSERT_EQ(mvncGetResult(graph, &out, &len, nullptr), MVNC_OK);
+
+  // The same script with the stick detached from one of those instants
+  // on: the drain returns what it retrieved before the detach, issues no
+  // GetResult after the MVNC_GONE (the queue died with the stick, so one
+  // more would be an unmatched GetResult) and leaves nothing pending.
+  for (const auto& [detach_s, retrieved] :
+       {std::pair{before_first, 0}, std::pair{after_first, 1}}) {
+    HostConfig cfg;
+    cfg.devices = 1;
+    cfg.check = ncsw::check::CheckMode::kLog;
+    cfg.faults.add(0, ncsw::sim::FaultKind::kDetach, detach_s, 1.0);
+    host_reset(cfg);
+    graph = allocate(open_first());
+    load_two(graph);
+    EXPECT_EQ(drain_results(graph), retrieved);
+    EXPECT_EQ(pending_results(graph), 0);
+    EXPECT_EQ(ncsw::check::verifier().total(), 0u);
+  }
+}
+
+TEST_F(MvncTest, DrainResultsIsZeroOnBadAndStaleHandles) {
+  int not_a_handle = 0;
+  EXPECT_EQ(drain_results(nullptr), 0);
+  EXPECT_EQ(drain_results(&not_a_handle), 0);
+  void* graph = allocate(open_first());
+  ASSERT_EQ(load_tensor_timed(graph, nullptr), MVNC_OK);
+  HostConfig cfg;
+  cfg.devices = 1;
+  host_reset(cfg);  // the queued result's handle is now stale
+  EXPECT_EQ(drain_results(graph), 0);
+}
+
 }  // namespace

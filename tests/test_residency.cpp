@@ -168,6 +168,13 @@ TEST(StickFleet, SwapInstallsNewResidentAndConserves) {
   EXPECT_DOUBLE_EQ(fleet.swap_to(0, 2, done + 4.0), done + 4.0);
   EXPECT_EQ(fleet.swaps(), 1);
   EXPECT_THROW(fleet.swap_to(0, 99, 0.0), std::out_of_range);
+  // The swap holds the stick's serial queue: a submit at the swap's own
+  // `now` starts when the swap completes, not before.
+  const double swap_done = fleet.swap_to(1, 3, 10.0);
+  const core::Ticket t = fleet.stick(1).submit(1, 1, 10.0);
+  EXPECT_DOUBLE_EQ(fleet.stick(1).info(t).start_s, swap_done);
+  EXPECT_DOUBLE_EQ(swap_done, 10.0 + fleet.swap_in_cost_s(3));
+  fleet.stick(1).wait(t);
 }
 
 TEST(StickFleet, SwapCarriesTheDeviceEpochForward) {

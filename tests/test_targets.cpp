@@ -276,6 +276,47 @@ TEST(VpuTarget, ClassifyPropagatesWorkerFailures) {
   EXPECT_THROW(vpu.classify(inputs), std::runtime_error);
 }
 
+TEST(VpuTarget, ClassifyRetriesTransientFaultsOnTheStick) {
+  // A busy storm on stick 0 just as classify starts: the per-image step
+  // backs off on the stick's own timeline and reissues the load, so the
+  // probabilities match a fault-free pass bit for bit. With no retry
+  // budget the same storm fails the call.
+  ncsw::dataset::DatasetConfig dc;
+  dc.num_classes = 6;
+  ncsw::dataset::SyntheticImageNet data(dc);
+  auto bundle = ModelBundle::tiny_functional(data, {32, 6});
+  Preprocessor prep;
+  prep.input_size = 32;
+  prep.means = data.means();
+  std::vector<ncsw::tensor::TensorF> inputs;
+  for (int i = 0; i < 4; ++i) inputs.push_back(prep(data.sample(0, i).image));
+
+  VpuTargetConfig cfg;
+  cfg.devices = 2;
+  std::vector<Prediction> clean;
+  double start = 0.0, clean_end = 0.0;
+  {
+    VpuTarget vpu(bundle, cfg);
+    start = ncsw::mvnc::host_time(vpu.graph_handle(0)).value();
+    clean = vpu.classify(inputs);
+    clean_end = ncsw::mvnc::host_time(vpu.graph_handle(0)).value();
+  }
+  cfg.faults.add(0, ncsw::sim::FaultKind::kBusyStorm, start, 0.005);
+  {
+    VpuTarget vpu(bundle, cfg);
+    const auto stormy = vpu.classify(inputs);
+    ASSERT_EQ(stormy.size(), clean.size());
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      EXPECT_EQ(stormy[i].probs, clean[i].probs) << i;
+    }
+    // The backoff is on the stick's clock.
+    EXPECT_GT(ncsw::mvnc::host_time(vpu.graph_handle(0)).value(), clean_end);
+  }
+  cfg.health.max_retries = 0;
+  VpuTarget vpu(bundle, cfg);
+  EXPECT_THROW(vpu.classify(inputs), std::runtime_error);
+}
+
 TEST(VpuTarget, MidBatchQuarantineAndRecovery) {
   // A result-delivery stall wedges stick 1 mid-batch: the watchdog trips,
   // bounded retries exhaust, the stick is quarantined and its image is

@@ -9,6 +9,7 @@
 #include "core/application.h"
 #include "core/model.h"
 #include "core/stick_fleet.h"
+#include "core/vpu_target.h"
 #include "dataset/synthetic.h"
 #include "graphc/compiler.h"
 #include "myriad/myriad.h"
@@ -211,6 +212,47 @@ TEST(ZooTenants, InterleavedTenantsMatchSoloRunsByteForByte) {
   // Round 0's swap to tenant-a is a no-op (initially resident): 5 real
   // swaps across 3 rounds.
   EXPECT_EQ(fleet.swaps(), 5);
+}
+
+TEST(ZooTenants, StickAndVpuTargetsClassifyBitIdentically) {
+  // StickTarget and VpuTarget share one per-image FP16 step; the same
+  // functional bundle and inputs must give the same probability bits,
+  // whether one stick runs every image or two threaded sticks split them.
+  ncsw::dataset::DatasetConfig dc;
+  dc.num_classes = 6;
+  ncsw::dataset::SyntheticImageNet data(dc);
+  const auto bundle = ncsw::core::ModelBundle::tiny_functional(data, {32, 6});
+  ncsw::core::Preprocessor prep;
+  prep.input_size = 32;
+  prep.means = data.means();
+  std::vector<ncsw::tensor::TensorF> inputs;
+  for (int c = 0; c < 6; ++c) inputs.push_back(prep(data.sample(1, c).image));
+
+  std::vector<ncsw::core::Prediction> on_stick;
+  {
+    ncsw::core::StickFleetConfig cfg;
+    cfg.devices = 1;
+    ncsw::core::StickFleet fleet({{"tenant", bundle}}, cfg);
+    on_stick = fleet.stick(0).classify(inputs);
+  }
+  std::vector<ncsw::core::Prediction> on_vpu;
+  {
+    ncsw::core::VpuTargetConfig cfg;
+    cfg.devices = 2;
+    ncsw::core::VpuTarget vpu(bundle, cfg);
+    on_vpu = vpu.classify(inputs);
+  }
+  ASSERT_EQ(on_stick.size(), inputs.size());
+  ASSERT_EQ(on_vpu.size(), inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(on_stick[i].label, on_vpu[i].label) << i;
+    ASSERT_EQ(on_stick[i].probs.size(), 6u) << i;
+    ASSERT_EQ(on_vpu[i].probs.size(), 6u) << i;
+    EXPECT_EQ(std::memcmp(on_stick[i].probs.data(), on_vpu[i].probs.data(),
+                          6 * sizeof(float)),
+              0)
+        << i;
+  }
 }
 
 }  // namespace
